@@ -408,18 +408,23 @@ func BenchmarkAblationEnforcement(b *testing.B) {
 
 // BenchmarkSimulatorThroughput measures the substrate itself: simulated
 // cycles per second for a contended two-core run, the number that bounds
-// every experiment's wall-clock cost.
+// every experiment's wall-clock cost. The traces are generated once,
+// outside the timer, and rewound per iteration, so the metric covers the
+// simulator alone.
 func BenchmarkSimulatorThroughput(b *testing.B) {
+	app, err := workload.ControlLoop(workload.AppConfig{Scenario: workload.Scenario1, Core: 1, Iterations: 100})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cont, err := workload.Contender(workload.ContenderConfig{Level: workload.HLoad, Scenario: workload.Scenario1, Core: 2, Bursts: 2000})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
 	var cycles int64
 	for i := 0; i < b.N; i++ {
-		app, err := workload.ControlLoop(workload.AppConfig{Scenario: workload.Scenario1, Core: 1, Iterations: 100})
-		if err != nil {
-			b.Fatal(err)
-		}
-		cont, err := workload.Contender(workload.ContenderConfig{Level: workload.HLoad, Scenario: workload.Scenario1, Core: 2, Bursts: 2000})
-		if err != nil {
-			b.Fatal(err)
-		}
+		app.Reset()
+		cont.Reset()
 		res, err := sim.Run(benchLat, map[int]sim.Task{
 			1: {Kind: tricore.TC16P, Src: app},
 			2: {Kind: tricore.TC16P, Src: cont},

@@ -11,6 +11,15 @@
 // and the isolation execution time, both of which the harness produces
 // through the same mechanisms (per-slave round-robin arbitration, Table 2
 // latencies, cache filtering) that create them on silicon.
+//
+// Time advances from event to event rather than cycle by cycle. Each core
+// and the SRI report the next cycle at which they do more than count: a
+// ready core acts at once, a computing core when its gap ends, a blocked
+// core only when the SRI completes its transaction, and the SRI at its
+// earliest retirement or grant. The loop jumps to the minimum of those
+// cycles and credits the skipped ones in bulk (CCNT and the remaining gap
+// advance by the jump), so every reading, wait and cycle count is the
+// one a per-cycle stepper produces.
 package sim
 
 import (
@@ -93,7 +102,8 @@ type Config struct {
 	SRIPriorities map[int]int
 	// JitterSeed, when non-zero, enables deterministic service-time
 	// jitter on the SRI: granted service times vary in [lmin, lmax] per
-	// transaction. Mutually exclusive with FlashPrefetch.
+	// transaction. Mutually exclusive with FlashPrefetch: a run given
+	// both fails.
 	JitterSeed uint64
 }
 
@@ -108,93 +118,15 @@ func Run(lat platform.LatencyTable, tasks map[int]Task, analysed int, cfg Config
 	if _, ok := tasks[analysed]; !ok {
 		return Result{}, fmt.Errorf("sim: analysed core %d has no task", analysed)
 	}
-	if err := lat.Validate(); err != nil {
-		return Result{}, fmt.Errorf("sim: %w", err)
+	e, err := newEngine(&lat, tasks, cfg)
+	if err != nil {
+		return Result{}, err
 	}
-	x := sri.New(NumCores)
-	if cfg.FlashPrefetch {
-		x.EnableFlashPrefetch(32)
+	end, err := e.run(0, analysed)
+	if err != nil {
+		return Result{}, err
 	}
-	if cfg.JitterSeed != 0 {
-		x.EnableServiceJitter(cfg.JitterSeed)
-	}
-	for m, class := range cfg.SRIPriorities {
-		if m < 0 || m >= NumCores {
-			return Result{}, fmt.Errorf("sim: priority for core %d out of range", m)
-		}
-		x.SetMasterPriority(m, class)
-	}
-	cores := make(map[int]*tricore.Core, len(tasks))
-	for idx, t := range tasks {
-		if idx < 0 || idx >= NumCores {
-			return Result{}, fmt.Errorf("sim: core index %d out of range", idx)
-		}
-		c, err := tricore.New(tricore.Config{Index: idx, Kind: t.Kind}, &lat, x, t.Src)
-		if err != nil {
-			return Result{}, err
-		}
-		cores[idx] = c
-	}
-
-	budget := cfg.MaxCycles
-	if budget <= 0 {
-		budget = defaultMaxCycles
-	}
-
-	var now int64
-	for ; now < budget; now++ {
-		for idx, c := range cores {
-			if quota, ok := cfg.StallBudgets[idx]; ok && !x.Busy(idx) {
-				// Enforcement point: once the core's SRI stalls consumed
-				// its quota, it is suspended before it can issue again.
-				r := c.Counters()
-				if r.PS+r.DS >= quota {
-					continue
-				}
-			}
-			c.Tick(now)
-		}
-		for _, cmp := range x.Tick(now) {
-			core, ok := cores[cmp.Master]
-			if !ok {
-				return Result{}, fmt.Errorf("sim: completion for idle core %d", cmp.Master)
-			}
-			core.Complete(now, cmp)
-		}
-		if cores[analysed].Done() {
-			break
-		}
-	}
-	if !cores[analysed].Done() {
-		return Result{}, fmt.Errorf("%w (budget %d)", ErrDeadline, budget)
-	}
-
-	res := Result{
-		Cycles:     now,
-		Readings:   make(map[int]dsu.Readings, len(cores)),
-		Done:       make(map[int]bool, len(cores)),
-		PTAC:       make(map[int]map[platform.TargetOp]int64, len(cores)),
-		WaitCycles: make(map[int]map[platform.Target]int64, len(cores)),
-	}
-	for idx, c := range cores {
-		res.Readings[idx] = c.Counters()
-		res.Done[idx] = c.Done()
-		ptac := make(map[platform.TargetOp]int64)
-		for _, to := range platform.AccessPairs() {
-			if g := x.Grants(idx, to.Target, to.Op); g > 0 {
-				ptac[to] = g
-			}
-		}
-		res.PTAC[idx] = ptac
-		waits := make(map[platform.Target]int64)
-		for _, t := range platform.Targets {
-			if w := x.WaitCycles(idx, t); w > 0 {
-				waits[t] = w
-			}
-		}
-		res.WaitCycles[idx] = waits
-	}
-	return res, nil
+	return e.result(end), nil
 }
 
 // RunIsolation runs a single task alone on core coreIdx — the paper's
@@ -207,69 +139,197 @@ func RunIsolation(lat platform.LatencyTable, coreIdx int, t Task, cfg Config) (R
 // pass over its trace: the standard MBTA protocol when the steady-state
 // (warm-cache) behaviour is the quantity of interest rather than the
 // cold-start one. Counter readings and execution time cover only the
-// second, timed pass.
+// second, timed pass; each pass has the full cycle budget, and a stall
+// budget applies to each pass afresh. Jitter draws continue across the
+// passes.
 //
 // Warm measurements are *smaller* in every counter than cold ones, so
 // bounds built from cold readings remain valid for warm runs — but not
 // vice versa; use warm readings only when the deployment guarantees warm
 // caches at activation.
 func RunIsolationWarm(lat platform.LatencyTable, coreIdx int, t Task, cfg Config) (Result, error) {
-	if err := lat.Validate(); err != nil {
-		return Result{}, fmt.Errorf("sim: %w", err)
-	}
-	x := sri.New(NumCores)
-	if cfg.FlashPrefetch {
-		x.EnableFlashPrefetch(32)
-	}
-	core, err := tricore.New(tricore.Config{Index: coreIdx, Kind: t.Kind}, &lat, x, t.Src)
+	e, err := newEngine(&lat, map[int]Task{coreIdx: t}, cfg)
 	if err != nil {
 		return Result{}, err
 	}
-	budget := cfg.MaxCycles
-	if budget <= 0 {
-		budget = defaultMaxCycles
-	}
-
-	runPass := func(start int64) (int64, error) {
-		for now := start; now < start+budget; now++ {
-			core.Tick(now)
-			for _, cmp := range x.Tick(now) {
-				core.Complete(now, cmp)
-			}
-			if core.Done() {
-				return now, nil
-			}
-		}
-		return 0, fmt.Errorf("%w (budget %d)", ErrDeadline, budget)
-	}
-
 	// Warm-up pass: executed, then discarded.
-	end, err := runPass(0)
+	end, err := e.run(0, coreIdx)
 	if err != nil {
 		return Result{}, err
 	}
+	core := e.cores[coreIdx]
 	core.ResetCounters()
-	x.ResetStats()
+	e.x.ResetStats()
 	t.Src.Reset()
 	core.Restart()
 
 	start := end + 1
-	end, err = runPass(start)
+	end, err = e.run(start, coreIdx)
 	if err != nil {
 		return Result{}, err
 	}
+	return e.result(end - start), nil
+}
 
-	res := Result{
-		Cycles:     end - start,
-		Readings:   map[int]dsu.Readings{coreIdx: core.Counters()},
-		Done:       map[int]bool{coreIdx: true},
-		PTAC:       map[int]map[platform.TargetOp]int64{coreIdx: {}},
-		WaitCycles: map[int]map[platform.Target]int64{coreIdx: {}},
+// engine is the simulated TC277 of one run: the SRI, the cores that have
+// a task, and the enforcement state of their stall budgets.
+type engine struct {
+	x *sri.Interconnect
+	// cores[i] is core i, nil when it has no task.
+	cores [NumCores]*tricore.Core
+	// quota[i] is core i's stall budget, enforced when hasQuota[i].
+	quota    [NumCores]int64
+	hasQuota [NumCores]bool
+	// suspended[i] is set once core i has exhausted its stall budget.
+	// Stall counters only move on a completion, so a suspended core
+	// never resumes.
+	suspended [NumCores]bool
+	budget    int64
+}
+
+// newEngine validates cfg and the task placement and builds the platform.
+func newEngine(lat *platform.LatencyTable, tasks map[int]Task, cfg Config) (*engine, error) {
+	if err := lat.Validate(); err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
 	}
-	for _, to := range platform.AccessPairs() {
-		if g := x.Grants(coreIdx, to.Target, to.Op); g > 0 {
-			res.PTAC[coreIdx][to] = g
+	if cfg.FlashPrefetch && cfg.JitterSeed != 0 {
+		return nil, errors.New("sim: FlashPrefetch and JitterSeed are mutually exclusive")
+	}
+	e := &engine{x: sri.New(NumCores), budget: cfg.MaxCycles}
+	if e.budget <= 0 {
+		e.budget = defaultMaxCycles
+	}
+	if cfg.FlashPrefetch {
+		e.x.EnableFlashPrefetch(32)
+	}
+	if cfg.JitterSeed != 0 {
+		e.x.EnableServiceJitter(cfg.JitterSeed)
+	}
+	for m, class := range cfg.SRIPriorities {
+		if m < 0 || m >= NumCores {
+			return nil, fmt.Errorf("sim: priority for core %d out of range", m)
+		}
+		e.x.SetMasterPriority(m, class)
+	}
+	for idx, t := range tasks {
+		if idx < 0 || idx >= NumCores {
+			return nil, fmt.Errorf("sim: core index %d out of range", idx)
+		}
+		c, err := tricore.New(tricore.Config{Index: idx, Kind: t.Kind}, lat, e.x, t.Src)
+		if err != nil {
+			return nil, err
+		}
+		e.cores[idx] = c
+		e.quota[idx], e.hasQuota[idx] = cfg.StallBudgets[idx]
+	}
+	return e, nil
+}
+
+// run advances the platform from cycle start until core analysed finishes
+// its trace and returns that cycle. It visits only the cycles at which a
+// core or the SRI has an event. A core is ticked only at its own events
+// and on completions; the cycles it sat out are credited in bulk first,
+// and once more up to the stop cycle, so its counters read as if it had
+// been ticked every cycle.
+func (e *engine) run(start int64, analysed int) (int64, error) {
+	// wake[i] is the next cycle at which core i must tick: sri.Never
+	// while it is blocked, done or suspended. credited[i] is the last
+	// cycle core i has been ticked or credited for.
+	var wake, credited [NumCores]int64
+	for i, c := range e.cores {
+		wake[i], credited[i] = sri.Never, start-1
+		if c != nil && !e.suspended[i] {
+			wake[i] = c.NextEvent(start)
 		}
 	}
-	return res, nil
+	limit := start + e.budget
+	for {
+		now := e.x.NextEvent()
+		for _, w := range wake {
+			now = min(now, w)
+		}
+		if now >= limit {
+			// Nothing can happen before the budget runs out, so neither
+			// can the analysed core finish.
+			break
+		}
+		for i, c := range e.cores {
+			if wake[i] != now {
+				continue
+			}
+			c.Skip(now - credited[i] - 1)
+			credited[i] = now
+			if e.hasQuota[i] && !e.x.Busy(i) {
+				// Enforcement point: once the core's SRI stalls consumed
+				// its quota, it is suspended before it can issue again.
+				// Only a completion moves the stall counters, and the
+				// cycle after one is always an event of the core, so no
+				// enforcement point is missed between events.
+				r := c.Counters()
+				if r.PS+r.DS >= e.quota[i] {
+					e.suspended[i] = true
+					wake[i] = sri.Never
+					continue
+				}
+			}
+			c.Tick(now)
+			wake[i] = c.NextEvent(now + 1)
+		}
+		for _, cmp := range e.x.Tick(now) {
+			i, c := cmp.Master, e.cores[cmp.Master]
+			// A blocked core counts every cycle through the completing
+			// one before it sees the completion.
+			c.Skip(now - credited[i])
+			credited[i] = now
+			c.Complete(now, cmp)
+			wake[i] = c.NextEvent(now + 1)
+		}
+		if e.cores[analysed].Done() {
+			for i, c := range e.cores {
+				if c != nil && !e.suspended[i] {
+					c.Skip(now - credited[i])
+				}
+			}
+			return now, nil
+		}
+		if e.suspended[analysed] {
+			// A suspended core issues nothing: it can never finish.
+			break
+		}
+	}
+	return 0, fmt.Errorf("%w (budget %d)", ErrDeadline, e.budget)
+}
+
+// result collects the observable state of every active core after a run
+// that stopped at cycle cycles.
+func (e *engine) result(cycles int64) Result {
+	res := Result{
+		Cycles:     cycles,
+		Readings:   make(map[int]dsu.Readings),
+		Done:       make(map[int]bool),
+		PTAC:       make(map[int]map[platform.TargetOp]int64),
+		WaitCycles: make(map[int]map[platform.Target]int64),
+	}
+	for idx, c := range e.cores {
+		if c == nil {
+			continue
+		}
+		res.Readings[idx] = c.Counters()
+		res.Done[idx] = c.Done()
+		ptac := make(map[platform.TargetOp]int64)
+		for _, to := range platform.AccessPairs() {
+			if g := e.x.Grants(idx, to.Target, to.Op); g > 0 {
+				ptac[to] = g
+			}
+		}
+		res.PTAC[idx] = ptac
+		waits := make(map[platform.Target]int64)
+		for _, t := range platform.Targets {
+			if w := e.x.WaitCycles(idx, t); w > 0 {
+				waits[t] = w
+			}
+		}
+		res.WaitCycles[idx] = waits
+	}
+	return res
 }

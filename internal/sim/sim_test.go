@@ -3,7 +3,9 @@ package sim
 import (
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/platform"
 	"repro/internal/trace"
@@ -184,6 +186,52 @@ func TestRoundRobinWaitBound(t *testing.T) {
 		bound := int64(nContender) * 11 * 300
 		if w := res.TotalWait(1); w > bound {
 			t.Errorf("%d contenders: wait %d exceeds bound %d", nContender, w, bound)
+		}
+	}
+}
+
+// A run whose analysed core can never finish must fail at once at the
+// default budget, not grind through two billion idle cycles first.
+func TestDeadlineWhenAnalysedCoreSuspendedReturnsAtOnce(t *testing.T) {
+	lat := platform.TC27xLatencies()
+	for name, tasks := range map[string]func() map[int]Task{
+		"alone": func() map[int]Task {
+			return map[int]Task{1: {Kind: tricore.TC16P, Src: uncachedLMULoads(100, 3)}}
+		},
+		"beside an endless contender": func() map[int]Task {
+			return map[int]Task{
+				1: {Kind: tricore.TC16P, Src: uncachedLMULoads(100, 3)},
+				2: {Kind: tricore.TC16P, Src: trace.NewRepeat(uncachedLMULoads(50, 1), 0)},
+			}
+		},
+	} {
+		for _, quota := range []int64{0, 25} {
+			start := time.Now()
+			_, err := Run(lat, tasks(), 1, Config{StallBudgets: map[int]int64{1: quota}})
+			if !errors.Is(err, ErrDeadline) {
+				t.Fatalf("%s, quota %d: err = %v, want ErrDeadline", name, quota, err)
+			}
+			if want := "(budget 2000000000)"; !strings.HasSuffix(err.Error(), want) {
+				t.Errorf("%s, quota %d: error %q does not end in %q", name, quota, err, want)
+			}
+			if d := time.Since(start); d > 5*time.Second {
+				t.Errorf("%s, quota %d: deadline took %v", name, quota, d)
+			}
+		}
+	}
+}
+
+func TestPrefetchWithJitterRejected(t *testing.T) {
+	lat := platform.TC27xLatencies()
+	cfg := Config{FlashPrefetch: true, JitterSeed: 9}
+	task := func() Task { return Task{Kind: tricore.TC16P, Src: uncachedLMULoads(10, 0)} }
+	for name, run := range map[string]func() (Result, error){
+		"Run":              func() (Result, error) { return RunIsolation(lat, 1, task(), cfg) },
+		"RunIsolationWarm": func() (Result, error) { return RunIsolationWarm(lat, 1, task(), cfg) },
+	} {
+		_, err := run()
+		if err == nil || !strings.HasPrefix(err.Error(), "sim: ") {
+			t.Errorf("%s: err = %v, want a sim: error", name, err)
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/platform"
@@ -80,5 +82,59 @@ func TestWarmMeasurementValidation(t *testing.T) {
 	lat := platform.TC27xLatencies()
 	if _, err := RunIsolationWarm(lat, 1, Task{Kind: tricore.TC16P, Src: cacheableCodeLoop(32, 100)}, Config{MaxCycles: 10}); err == nil {
 		t.Error("budget exhaustion not reported")
+	}
+}
+
+// uncachedFlashFetches fetches n consecutive program-flash lines through
+// the non-cached mirror, so the warm pass still reaches the SRI, where
+// jitter varies the service time between lmin and lmax.
+func uncachedFlashFetches(n int) trace.Source {
+	accs := make([]trace.Access, n)
+	for i := range accs {
+		accs[i] = trace.Access{Gap: 1, Kind: trace.Fetch, Addr: platform.Uncached(platform.PFlash0Base + uint32(i)*32)}
+	}
+	return trace.NewSlice(accs)
+}
+
+func TestWarmMeasurementHonoursJitter(t *testing.T) {
+	lat := platform.TC27xLatencies()
+	warm := func(cfg Config) Result {
+		t.Helper()
+		res, err := RunIsolationWarm(lat, 1, Task{Kind: tricore.TC16P, Src: uncachedFlashFetches(200)}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	plain := warm(Config{})
+	a, b := warm(Config{JitterSeed: 42}), warm(Config{JitterSeed: 42})
+	if !reflect.DeepEqual(a, b) {
+		t.Errorf("jittered warm run not reproducible:\n%+v\n%+v", a, b)
+	}
+	if a.Cycles >= plain.Cycles || a.Readings[1].PS >= plain.Readings[1].PS {
+		t.Errorf("jittered warm run (%d cycles, PS %d) not faster than the lmax one (%d, PS %d)",
+			a.Cycles, a.Readings[1].PS, plain.Cycles, plain.Readings[1].PS)
+	}
+	if c := warm(Config{JitterSeed: 43}); reflect.DeepEqual(a, c) {
+		t.Error("different jitter seeds gave identical warm runs")
+	}
+}
+
+func TestWarmMeasurementHonoursStallBudget(t *testing.T) {
+	lat := platform.TC27xLatencies()
+	_, err := RunIsolationWarm(lat, 1, Task{Kind: tricore.TC16P, Src: uncachedFlashFetches(50)}, Config{
+		StallBudgets: map[int]int64{1: 100},
+	})
+	if !errors.Is(err, ErrDeadline) {
+		t.Errorf("err = %v, want ErrDeadline from the suspended warm-up pass", err)
+	}
+}
+
+func TestWarmMeasurementValidatesPriorities(t *testing.T) {
+	lat := platform.TC27xLatencies()
+	if _, err := RunIsolationWarm(lat, 1, Task{Kind: tricore.TC16P, Src: uncachedFlashFetches(5)}, Config{
+		SRIPriorities: map[int]int{5: 1},
+	}); err == nil {
+		t.Error("out-of-range priority core accepted")
 	}
 }

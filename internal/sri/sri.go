@@ -13,16 +13,22 @@
 //     time taken from the platform latency table, with an optional
 //     override for special transactions (dirty-miss refills on the LMU).
 //
-// The interconnect is clocked externally: the simulation harness calls
-// Tick once per cycle after letting the cores issue. It is deliberately
+// The interconnect is clocked externally, after the cores have issued for
+// the cycle. Only retirements and grants change its state, so the harness
+// calls Tick at the cycles NextEvent names and skips the rest; ticking
+// every cycle gives the same results, only slower. It is deliberately
 // single-threaded and deterministic.
 package sri
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/platform"
 )
+
+// Never is the next-event cycle of a component with nothing scheduled.
+const Never int64 = math.MaxInt64
 
 // Request describes one SRI transaction to issue.
 type Request struct {
@@ -66,8 +72,11 @@ type pendingReq struct {
 }
 
 type slaveState struct {
-	// pending[m] holds core m's queued request, if any.
+	// pending[m] holds core m's queued request, if any. It points at the
+	// master's request record in Interconnect.reqs.
 	pending []*pendingReq
+	// queued counts the non-nil entries of pending.
+	queued int
 	// inflight is the granted transaction, nil when the slave is idle.
 	inflight *pendingReq
 	// grantedAt is the cycle the in-flight transaction was granted.
@@ -120,6 +129,15 @@ type Interconnect struct {
 	// prefetching effects", as an adversarial (but repeatable) testbed
 	// for the models, which only ever assume the Service worst case.
 	jitter uint64
+
+	// reqs[m] is master m's request record, reused by every Issue: a
+	// master has at most one outstanding transaction.
+	reqs []pendingReq
+	// done is the completion buffer Tick returns, reused across calls.
+	done []Completion
+	// due is the earliest cycle at which Tick has a retirement or a
+	// grant to perform, or Never.
+	due int64
 }
 
 // New builds an SRI crossbar for numMasters cores.
@@ -131,6 +149,8 @@ func New(numMasters int) *Interconnect {
 		numMasters:  numMasters,
 		outstanding: make([]int, numMasters),
 		priority:    make([]int, numMasters),
+		reqs:        make([]pendingReq, numMasters),
+		due:         Never,
 	}
 	for m := range x.outstanding {
 		x.outstanding[m] = -1
@@ -217,20 +237,45 @@ func (x *Interconnect) Issue(now int64, r Request) {
 		panic(fmt.Sprintf("sri: master %d already has an outstanding transaction", r.Master))
 	}
 	x.outstanding[r.Master] = int(r.Target)
-	x.slaves[r.Target].pending[r.Master] = &pendingReq{Request: r, issuedAt: now}
+	p := &x.reqs[r.Master]
+	*p = pendingReq{Request: r, issuedAt: now}
+	s := &x.slaves[r.Target]
+	s.pending[r.Master] = p
+	s.queued++
+	if s.inflight == nil && now < x.due {
+		// An idle slave grants at the request's first tick; a busy one
+		// grants when its in-flight transaction retires, which is already
+		// due.
+		x.due = now
+	}
 }
+
+// NextEvent returns the earliest cycle at which Tick retires or grants a
+// transaction, or Never when the crossbar is idle. Issue can only move it
+// earlier.
+func (x *Interconnect) NextEvent() int64 { return x.due }
 
 // Tick advances the crossbar to cycle now: completes transactions whose
 // service time has elapsed and grants queued requests on idle slaves in
-// round-robin order. It returns the completions delivered this cycle.
-// Callers must tick every cycle with strictly increasing now values.
+// round-robin order. It returns the completions delivered this cycle, in
+// a buffer that the next Tick reuses. Callers must tick with strictly
+// increasing now values, at least at every cycle NextEvent returns; on
+// any other cycle Tick has nothing to do and returns at once.
 func (x *Interconnect) Tick(now int64) []Completion {
-	var done []Completion
+	if now < x.due {
+		return nil
+	}
+	done := x.done[:0]
+	x.due = Never
 	for ti := range x.slaves {
 		s := &x.slaves[ti]
-		// Retire the in-flight transaction if its service elapsed.
-		if s.inflight != nil && now >= s.grantedAt+s.grantedService {
-			r := s.inflight
+		if r := s.inflight; r != nil {
+			end := s.grantedAt + s.grantedService
+			if now < end {
+				x.due = min(x.due, end)
+				continue
+			}
+			// Retire the in-flight transaction: its service elapsed.
 			s.inflight = nil
 			x.outstanding[r.Master] = -1
 			done = append(done, Completion{
@@ -241,41 +286,45 @@ func (x *Interconnect) Tick(now int64) []Completion {
 				EndToEnd: now - r.issuedAt,
 			})
 		}
+		if s.queued == 0 {
+			continue
+		}
 		// Grant the next pending request: highest priority class first,
 		// round-robin within the class.
-		if s.inflight == nil {
-			best := -1
-			for i := 0; i < x.numMasters; i++ {
-				m := (s.rrNext + i) % x.numMasters
-				if s.pending[m] != nil && (best < 0 || x.priority[m] > x.priority[best]) {
-					best = m
-				}
+		best := -1
+		for i, m := 0, s.rrNext; i < x.numMasters; i++ {
+			if s.pending[m] != nil && (best < 0 || x.priority[m] > x.priority[best]) {
+				best = m
 			}
-			if m := best; m >= 0 {
-				if r := s.pending[m]; r != nil {
-					s.pending[m] = nil
-					s.inflight = r
-					s.grantedAt = now
-					s.grantedService = r.Service
-					if x.prefetch && r.MinService > 0 && s.lastValid &&
-						s.lastMaster == m && r.Addr == s.lastAddr+x.lineSize {
-						s.grantedService = r.MinService
-						s.prefetchHits++
-					}
-					if x.jitter != 0 && r.MinService > 0 && r.MinService < r.Service {
-						span := uint64(r.Service - r.MinService + 1)
-						s.grantedService = r.MinService + int64(x.nextRand()%span)
-					}
-					s.lastAddr = r.Addr
-					s.lastMaster = m
-					s.lastValid = true
-					s.rrNext = (m + 1) % x.numMasters
-					s.grants[m][r.Op]++
-					s.waitCycles[m] += now - r.issuedAt
-				}
+			if m++; m == x.numMasters {
+				m = 0
 			}
 		}
+		m := best
+		r := s.pending[m]
+		s.pending[m] = nil
+		s.queued--
+		s.inflight = r
+		s.grantedAt = now
+		s.grantedService = r.Service
+		if x.prefetch && r.MinService > 0 && s.lastValid &&
+			s.lastMaster == m && r.Addr == s.lastAddr+x.lineSize {
+			s.grantedService = r.MinService
+			s.prefetchHits++
+		}
+		if x.jitter != 0 && r.MinService > 0 && r.MinService < r.Service {
+			span := uint64(r.Service - r.MinService + 1)
+			s.grantedService = r.MinService + int64(x.nextRand()%span)
+		}
+		s.lastAddr = r.Addr
+		s.lastMaster = m
+		s.lastValid = true
+		s.rrNext = (m + 1) % x.numMasters
+		s.grants[m][r.Op]++
+		s.waitCycles[m] += now - r.issuedAt
+		x.due = min(x.due, now+s.grantedService)
 	}
+	x.done = done
 	return done
 }
 
@@ -319,14 +368,8 @@ func (x *Interconnect) ResetStats() {
 // Idle reports whether no transaction is queued or in flight anywhere.
 func (x *Interconnect) Idle() bool {
 	for ti := range x.slaves {
-		s := &x.slaves[ti]
-		if s.inflight != nil {
+		if s := &x.slaves[ti]; s.inflight != nil || s.queued > 0 {
 			return false
-		}
-		for _, p := range s.pending {
-			if p != nil {
-				return false
-			}
 		}
 	}
 	return true

@@ -71,7 +71,9 @@ const (
 )
 
 // Core is one simulated TriCore. It is clocked by the simulation harness:
-// Tick once per cycle, then deliver any sri completions via Complete.
+// Tick at the cycles NextEvent names, Skip over the cycles in between,
+// and deliver any sri completions via Complete. Ticking every cycle is
+// equivalent.
 type Core struct {
 	cfg    Config
 	lat    *platform.LatencyTable
@@ -83,10 +85,14 @@ type Core struct {
 
 	ph      phase
 	gapLeft int64
-	pend    *trace.Access
+	// pend is the access being executed, valid while hasPend is set.
+	pend    trace.Access
+	hasPend bool
 	// followup is a second SRI transaction to issue as soon as the
-	// current one completes (dirty write-back followed by the refill).
-	followup *sri.Request
+	// current one completes (dirty write-back followed by the refill),
+	// valid while hasFollowup is set.
+	followup    sri.Request
+	hasFollowup bool
 }
 
 // New builds a core of the given kind attached to crossbar x, executing
@@ -148,9 +154,9 @@ func (c *Core) Restart() {
 		panic(fmt.Sprintf("tricore: core %d restarted with an in-flight transaction", c.cfg.Index))
 	}
 	c.ph = phaseReady
-	c.pend = nil
+	c.hasPend = false
 	c.gapLeft = 0
-	c.followup = nil
+	c.hasFollowup = false
 }
 
 // ICacheStats exposes instruction-cache statistics for tests.
@@ -158,6 +164,44 @@ func (c *Core) ICacheStats() (hits, missClean, missDirty int64) { return c.icach
 
 // DCacheStats exposes data-cache statistics for tests.
 func (c *Core) DCacheStats() (hits, missClean, missDirty int64) { return c.dcache.Stats() }
+
+// NextEvent returns the first cycle from now on at which Tick does more
+// than count: now when the core is ready, the cycle its compute gap ends,
+// or sri.Never when it is blocked on the SRI (only Complete wakes it) or
+// done.
+func (c *Core) NextEvent(now int64) int64 {
+	switch c.ph {
+	case phaseReady:
+		return now
+	case phaseGap:
+		return now + c.gapLeft
+	default:
+		return sri.Never
+	}
+}
+
+// Skip credits k cycles in bulk, exactly as k calls of Tick would have:
+// CCNT advances by k and a compute gap shrinks by k. k must not reach
+// past the core's NextEvent.
+func (c *Core) Skip(k int64) {
+	switch c.ph {
+	case phaseReady:
+		if k > 0 {
+			panic(fmt.Sprintf("tricore: core %d skipped %d cycles while ready", c.cfg.Index, k))
+		}
+	case phaseBlocked:
+		c.bank.Add(dsu.CCNT, k)
+	case phaseGap:
+		if k > c.gapLeft {
+			panic(fmt.Sprintf("tricore: core %d skipped %d cycles past its %d-cycle gap", c.cfg.Index, k, c.gapLeft))
+		}
+		c.bank.Add(dsu.CCNT, k)
+		c.gapLeft -= k
+		if c.gapLeft == 0 {
+			c.ph = phaseReady
+		}
+	}
+}
 
 // Tick advances the core by one cycle. now is the global cycle number,
 // forwarded to the crossbar on issues.
@@ -178,13 +222,13 @@ func (c *Core) Tick(now int64) {
 	}
 
 	// phaseReady: pull the next access if none pending.
-	if c.pend == nil {
+	if !c.hasPend {
 		a, ok := c.src.Next()
 		if !ok {
 			c.ph = phaseDone
 			return
 		}
-		c.pend = &a
+		c.pend, c.hasPend = a, true
 		if a.Gap > 0 {
 			// This cycle is the first gap cycle.
 			c.bank.Add(dsu.CCNT, 1)
@@ -201,7 +245,7 @@ func (c *Core) Tick(now int64) {
 // resolve classifies the pending access and either completes it locally
 // (one cycle) or turns it into an SRI transaction and blocks.
 func (c *Core) resolve(now int64) {
-	a := *c.pend
+	a := c.pend
 	c.bank.Add(dsu.CCNT, 1) // the access's own dispatch cycle
 	r := platform.Decode(a.Addr)
 
@@ -210,7 +254,7 @@ func (c *Core) resolve(now int64) {
 		// Local (or another core's) scratchpad: single-cycle, no SRI
 		// traffic. Cross-core scratchpad traffic is excluded by the
 		// paper's system model, and our workloads never generate it.
-		c.pend = nil
+		c.hasPend = false
 		return
 	case platform.RegionInvalid:
 		panic(fmt.Sprintf("tricore: core %d accessed unmapped address %#x", c.cfg.Index, a.Addr))
@@ -249,7 +293,7 @@ func (c *Core) resolveFetch(now int64, a trace.Access, r platform.Region) {
 	if r.Cacheable {
 		out := c.icache.Access(a.Addr, false)
 		if out.Result == cache.Hit {
-			c.pend = nil
+			c.hasPend = false
 			return
 		}
 		c.bank.Add(dsu.PCacheMiss, 1)
@@ -277,7 +321,7 @@ func (c *Core) resolveData(now int64, a trace.Access, r platform.Region) {
 
 	out := c.dcache.Access(a.Addr, write)
 	if out.Result == cache.Hit {
-		c.pend = nil
+		c.hasPend = false
 		return
 	}
 
@@ -301,7 +345,7 @@ func (c *Core) resolveData(now int64, a trace.Access, r platform.Region) {
 		}
 		// Otherwise the write-back is its own transaction, followed by
 		// the refill as soon as it completes.
-		c.followup = &refill
+		c.followup, c.hasFollowup = refill, true
 		c.issue(now, c.request(victim.Target, platform.Data,
 			c.lat.MaxLatency(victim.Target, platform.Data), out.VictimAddr))
 	}
@@ -343,15 +387,14 @@ func (c *Core) Complete(now int64, cmp sri.Completion) {
 	}
 	c.bank.Add(counter, stall)
 
-	if c.followup != nil {
-		next := *c.followup
-		c.followup = nil
+	if c.hasFollowup {
+		c.hasFollowup = false
 		// The refill can only be seen by the arbiter on the next cycle;
 		// stamp it there so the dead cycle is not misaccounted as
 		// contention wait.
-		c.x.Issue(now+1, next)
+		c.x.Issue(now+1, c.followup)
 		return
 	}
-	c.pend = nil
+	c.hasPend = false
 	c.ph = phaseReady
 }
