@@ -29,15 +29,15 @@ bench-gate:
 	bash scripts/bench_gate.sh
 
 # profile = CPU + mutex profiles of the two hot paths this repo optimises:
-# the parallel branch & bound solve (BenchmarkTable5Parallel/scenario2) and
-# the saturated serving loop (BenchmarkServeSaturated). Profiles land in
-# profiles/; inspect with `go tool pprof profiles/solve_cpu.out`. The mutex
-# profile is the one to read after a cache-sharding or incumbent-lock
-# change — it shows exactly which lock the workers queued on.
+# the Scenario 2 branch & bound solve (BenchmarkTable5Tailoring/scenario2)
+# and the saturated serving loop (BenchmarkServeSaturated). Profiles land
+# in profiles/; inspect with `go tool pprof profiles/solve_cpu.out`. The
+# mutex profile is the one to read after a cache-sharding change — it
+# shows exactly which lock the request goroutines queued on.
 PROFILE_BENCHTIME ?= 2s
 profile:
 	mkdir -p profiles
-	$(GO) test -run '^$$' -bench 'BenchmarkTable5Parallel/scenario2' \
+	$(GO) test -run '^$$' -bench 'BenchmarkTable5Tailoring/scenario2' \
 		-benchtime $(PROFILE_BENCHTIME) \
 		-cpuprofile profiles/solve_cpu.out \
 		-mutexprofile profiles/solve_mutex.out \

@@ -124,69 +124,6 @@ func BenchmarkTable5Tailoring(b *testing.B) {
 	}
 }
 
-// BenchmarkTable5Parallel is the concurrency axis of the Table 5 solve:
-// the same tailored ILP-PTAC models solved with the branch & bound worker
-// pool at the machine's full width. The timed loop is the parallel solve;
-// a sequential (Workers=1) baseline is measured outside the timer in the
-// same process and reported as speedup_x = sequential ns/op ÷ parallel
-// ns/op, so the trajectory records how much the extra cores actually buy
-// on the minting machine (the metric gates higher-is-better in
-// scripts/benchgate; run with -cpu 1,2,4 for the full matrix). The bound
-// must be identical either way — that is the solver's determinism
-// contract, and the benchmark fails if it drifts.
-func BenchmarkTable5Parallel(b *testing.B) {
-	for _, sc := range []core.Scenario{core.Scenario1(), core.Scenario2()} {
-		b.Run(sc.Name, func(b *testing.B) {
-			// Read GOMAXPROCS inside the leaf: -cpu re-runs the leaf at
-			// each width, and the outer function's value would be stale.
-			workers := runtime.GOMAXPROCS(0)
-			a, c := benchReadings(100)
-			if sc.CacheableDataFloor {
-				a.DMC, c.DMC = 500, 300
-			}
-			in := core.Input{A: a, B: []dsu.Readings{c}, Lat: &benchLat, Scenario: sc}
-
-			// Sequential baseline, outside the timer: enough iterations
-			// to steady the measurement without dominating the run.
-			seqIters := b.N
-			if seqIters > 8 {
-				seqIters = 8
-			}
-			var seqEst core.Estimate
-			seqStart := time.Now()
-			for i := 0; i < seqIters; i++ {
-				var err error
-				seqEst, err = core.ILPPTAC(in, core.PTACOptions{SolverWorkers: 1})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			seqNs := float64(time.Since(seqStart).Nanoseconds()) / float64(seqIters)
-
-			var est core.Estimate
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var err error
-				est, err = core.ILPPTAC(in, core.PTACOptions{SolverWorkers: workers})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			if est.ContentionCycles != seqEst.ContentionCycles {
-				b.Fatalf("parallel bound %d != sequential bound %d — determinism contract broken",
-					est.ContentionCycles, seqEst.ContentionCycles)
-			}
-			parNs := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-			if parNs > 0 {
-				b.ReportMetric(seqNs/parNs, "speedup_x")
-			}
-			b.ReportMetric(float64(workers), "workers")
-			b.ReportMetric(float64(est.ContentionCycles), "bound_cycles")
-		})
-	}
-}
-
 // BenchmarkTable6Counters regenerates Table 6: the debug-counter readings
 // of the application and the H-Load contender under both scenarios.
 func BenchmarkTable6Counters(b *testing.B) {
@@ -510,6 +447,7 @@ func BenchmarkWCETServiceBatch(b *testing.B) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	shutdownAfter(b, srv)
+	client := benchClient(b, runtime.GOMAXPROCS(0))
 
 	batch := service.BatchRequest{}
 	for j := 0; j < 16; j++ {
@@ -530,7 +468,7 @@ func BenchmarkWCETServiceBatch(b *testing.B) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			resp, err := http.Post(ts.URL+"/v1/batch", "application/json", bytes.NewReader(body))
+			resp, err := client.Post(ts.URL+"/v1/batch", "application/json", bytes.NewReader(body))
 			if err != nil {
 				b.Error(err)
 				return
@@ -538,7 +476,7 @@ func BenchmarkWCETServiceBatch(b *testing.B) {
 			if resp.StatusCode != http.StatusOK {
 				b.Errorf("status %d", resp.StatusCode)
 			}
-			resp.Body.Close()
+			drainClose(resp)
 		}
 	})
 	b.StopTimer()
@@ -563,6 +501,7 @@ func BenchmarkCacheHitParallel(b *testing.B) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	shutdownAfter(b, srv)
+	client := benchClient(b, runtime.GOMAXPROCS(0))
 
 	body, err := json.Marshal(service.Request{
 		Scenario: 1,
@@ -575,17 +514,17 @@ func BenchmarkCacheHitParallel(b *testing.B) {
 		b.Fatal(err)
 	}
 	// Prime the cache: exactly one miss, everything timed below is a hit.
-	resp, err := http.Post(ts.URL+"/v1/wcet", "application/json", bytes.NewReader(body))
+	resp, err := client.Post(ts.URL+"/v1/wcet", "application/json", bytes.NewReader(body))
 	if err != nil {
 		b.Fatal(err)
 	}
-	resp.Body.Close()
+	drainClose(resp)
 
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			resp, err := http.Post(ts.URL+"/v1/wcet", "application/json", bytes.NewReader(body))
+			resp, err := client.Post(ts.URL+"/v1/wcet", "application/json", bytes.NewReader(body))
 			if err != nil {
 				b.Error(err)
 				return
@@ -593,7 +532,7 @@ func BenchmarkCacheHitParallel(b *testing.B) {
 			if resp.StatusCode != http.StatusOK {
 				b.Errorf("status %d", resp.StatusCode)
 			}
-			resp.Body.Close()
+			drainClose(resp)
 		}
 	})
 	b.StopTimer()
@@ -632,6 +571,7 @@ func BenchmarkCampaignJob(b *testing.B) {
 	srv := service.New(service.Config{MaxInFlight: 256, QueueDepth: 1024, MaxJobs: 1 << 20, Logger: quiet}, nil)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
+	client := benchClient(b, 1)
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
@@ -664,14 +604,14 @@ func BenchmarkCampaignJob(b *testing.B) {
 	}
 	// Prime the result cache: the in-loop interactive request measures
 	// the hit path an integrator's repeated what-if queries see.
-	resp, err := http.Post(ts.URL+"/v1/wcet", "application/json", bytes.NewReader(interactive))
+	resp, err := client.Post(ts.URL+"/v1/wcet", "application/json", bytes.NewReader(interactive))
 	if err != nil {
 		b.Fatal(err)
 	}
-	resp.Body.Close()
+	drainClose(resp)
 
 	runJob := func() {
-		resp, err := http.Post(ts.URL+"/v2/campaigns", "application/json", bytes.NewReader(spec))
+		resp, err := client.Post(ts.URL+"/v2/campaigns", "application/json", bytes.NewReader(spec))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -681,25 +621,25 @@ func BenchmarkCampaignJob(b *testing.B) {
 		if err := json.NewDecoder(resp.Body).Decode(&job); err != nil {
 			b.Fatal(err)
 		}
-		resp.Body.Close()
+		drainClose(resp)
 		if resp.StatusCode != http.StatusAccepted || job.ID == "" {
 			b.Fatalf("campaign submit: status %d, id %q", resp.StatusCode, job.ID)
 		}
 
 		// One interactive round-trip while the job drains: priority
 		// admission must serve it without waiting for the sweep.
-		resp, err = http.Post(ts.URL+"/v1/wcet", "application/json", bytes.NewReader(interactive))
+		resp, err = client.Post(ts.URL+"/v1/wcet", "application/json", bytes.NewReader(interactive))
 		if err != nil {
 			b.Fatal(err)
 		}
-		resp.Body.Close()
+		drainClose(resp)
 		if resp.StatusCode != http.StatusOK {
 			b.Fatalf("interactive request under campaign load: status %d", resp.StatusCode)
 		}
 
 		// The SSE stream ends itself after the terminal state event;
 		// reading it to EOF is the wire-level "wait for done".
-		resp, err = http.Get(ts.URL + "/v2/campaigns/" + job.ID + "/stream")
+		resp, err = client.Get(ts.URL + "/v2/campaigns/" + job.ID + "/stream")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -712,7 +652,7 @@ func BenchmarkCampaignJob(b *testing.B) {
 			b.Fatalf("campaign stream ended without a done state:\n%s", stream)
 		}
 
-		resp, err = http.Get(ts.URL + "/v2/campaigns/" + job.ID + "/artifact")
+		resp, err = client.Get(ts.URL + "/v2/campaigns/" + job.ID + "/artifact")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -747,14 +687,12 @@ func BenchmarkCampaignJob(b *testing.B) {
 // eviction, shard routing) and the solver pool under contention, not
 // just shard reads.
 func BenchmarkServeSaturated(b *testing.B) {
-	srv := service.New(benchServeConfig(b, service.Config{
-		MaxInFlight:   256,
-		QueueDepth:    1024,
-		SolverWorkers: runtime.GOMAXPROCS(0),
-	}), nil)
+	srv := service.New(benchServeConfig(b, service.Config{MaxInFlight: 256, QueueDepth: 1024}), nil)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	shutdownAfter(b, srv)
+	const parallelism = 4 // 4× GOMAXPROCS client goroutines
+	client := benchClient(b, parallelism*runtime.GOMAXPROCS(0))
 
 	const pool = 64
 	bodies := make([][]byte, pool)
@@ -774,12 +712,12 @@ func BenchmarkServeSaturated(b *testing.B) {
 
 	var seq atomic.Int64
 	b.ReportAllocs()
-	b.SetParallelism(4) // 4× GOMAXPROCS client goroutines
+	b.SetParallelism(parallelism)
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			body := bodies[int(seq.Add(1))%pool]
-			resp, err := http.Post(ts.URL+"/v1/wcet", "application/json", bytes.NewReader(body))
+			resp, err := client.Post(ts.URL+"/v1/wcet", "application/json", bytes.NewReader(body))
 			if err != nil {
 				b.Error(err)
 				return
@@ -787,7 +725,7 @@ func BenchmarkServeSaturated(b *testing.B) {
 			if resp.StatusCode != http.StatusOK {
 				b.Errorf("status %d", resp.StatusCode)
 			}
-			resp.Body.Close()
+			drainClose(resp)
 		}
 	})
 	b.StopTimer()
@@ -800,4 +738,22 @@ func BenchmarkServeSaturated(b *testing.B) {
 	if b.N > 2*pool && st.Cache.Hits == 0 {
 		b.Error("saturated stream never hit the cache")
 	}
+}
+
+// benchClient returns an HTTP benchmark's own client. Its transport keeps
+// up to conns idle connections to the test server, so each of that many
+// concurrent clients reuses one loopback connection instead of dialling
+// per request, as http.DefaultClient's two idle connections per host
+// would force.
+func benchClient(b *testing.B, conns int) *http.Client {
+	tr := &http.Transport{MaxIdleConnsPerHost: conns}
+	b.Cleanup(tr.CloseIdleConnections)
+	return &http.Client{Transport: tr}
+}
+
+// drainClose reads the rest of resp's body before closing it, which is
+// what lets the transport return the connection to its idle pool.
+func drainClose(resp *http.Response) {
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
 }

@@ -38,7 +38,6 @@ import (
 func main() {
 	only := flag.String("only", "", "regenerate a single artefact: table2, table3, table5, table6, figure4, sweep")
 	workers := flag.Int("workers", 0, "campaign worker-pool width; 0 means all cores")
-	solverWorkers := flag.Int("solver-workers", 1, "branch & bound workers per ILP solve (1 = sequential; artefacts are identical either way)")
 	perturb := flag.String("perturb", "", "extra sweep latency perturbations, comma-separated name:±pct (e.g. slow10:+10,fast10:-10)")
 	models := flag.String("models", "", "sweep these registered contention models, comma-separated (default ilpPtac,ftc)")
 	tables := flag.String("tables", "", "sweep these stored latency-table versions (refs or IDs from -store), comma-separated")
@@ -91,7 +90,6 @@ func main() {
 	}
 
 	ctx := context.Background()
-	experiments.SetSolverWorkers(*solverWorkers)
 	runner := experiments.NewRunner(campaign.New(*workers))
 	lat := platform.TC27xLatencies()
 	artefacts := map[string]func(context.Context, experiments.Runner, platform.LatencyTable) error{

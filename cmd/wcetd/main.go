@@ -54,9 +54,8 @@
 // Identical requests are served from a sharded canonical-request result
 // cache, so repeat submissions cost zero solver time. Admission control
 // bounds concurrent work (-max-inflight), queues a bounded overflow
-// (-queue), and times requests out (-timeout). -solver-workers widens
-// the ILP branch & bound across cores without changing a single wire
-// byte. SIGINT/SIGTERM drain gracefully.
+// (-queue), and times requests out (-timeout). SIGINT/SIGTERM drain
+// gracefully.
 package main
 
 import (
@@ -82,7 +81,6 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address")
 	workers := flag.Int("workers", 0, "batch worker-pool width (0 = GOMAXPROCS)")
-	solverWorkers := flag.Int("solver-workers", 1, "branch & bound workers per ILP solve (1 = sequential; bounds are identical either way)")
 	cacheEntries := flag.Int("cache", 1024, "canonical-request cache capacity (entries)")
 	maxInFlight := flag.Int("max-inflight", 64, "admission-control concurrency limit")
 	queueDepth := flag.Int("queue", 256, "admission queue depth beyond the concurrency limit")
@@ -139,7 +137,6 @@ func main() {
 
 	srv := service.New(service.Config{
 		Workers:              *workers,
-		SolverWorkers:        *solverWorkers,
 		CacheEntries:         *cacheEntries,
 		MaxInFlight:          *maxInFlight,
 		QueueDepth:           *queueDepth,

@@ -57,11 +57,6 @@ type PTACOptions struct {
 	// so it stays a sound worst case regardless of the gap — the gap only
 	// trades (at most that many cycles of) tightness for solve time.
 	Gap float64
-	// SolverWorkers is the branch & bound worker count (ilp.Options
-	// .Workers); 0 or 1 keeps the solve sequential. Small trees stay
-	// sequential regardless — the solver only fans out once a search has
-	// outlived its exact sequential prefix.
-	SolverWorkers int
 }
 
 // ptacBuilder accumulates the ILP formulation. Builders are pooled: every
@@ -145,7 +140,7 @@ func ILPPTAC(in Input, opts PTACOptions) (Estimate, error) {
 	if gap <= 0 {
 		gap = defaultGap(in.Lat)
 	}
-	sol, err := b.p.Solve(ilp.Options{MaxNodes: opts.MaxNodes, Gap: gap, Workers: opts.SolverWorkers})
+	sol, err := b.p.Solve(ilp.Options{MaxNodes: opts.MaxNodes, Gap: gap})
 	if err != nil {
 		return Estimate{}, fmt.Errorf("core: ILP-PTAC (%s, %s mode): %w", in.Scenario.Name, opts.StallMode, err)
 	}

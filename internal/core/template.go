@@ -114,7 +114,7 @@ func ILPPTACTemplate(a Input, templates []Template, opts PTACOptions) (Estimate,
 	if gap <= 0 {
 		gap = defaultGap(a.Lat)
 	}
-	sol, err := b.p.Solve(ilp.Options{MaxNodes: opts.MaxNodes, Gap: gap, Workers: opts.SolverWorkers})
+	sol, err := b.p.Solve(ilp.Options{MaxNodes: opts.MaxNodes, Gap: gap})
 	if err != nil {
 		return Estimate{}, fmt.Errorf("core: ILP-PTAC-template (%s): %w", a.Scenario.Name, err)
 	}

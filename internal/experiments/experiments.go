@@ -19,7 +19,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/campaign"
 	"repro/internal/core"
@@ -217,24 +216,8 @@ func coreScenario(sc workload.Scenario) core.Scenario {
 // tailoring per request (Request.Scenario), so both scenarios of a sweep
 // share one Analyzer and one estimate cache.
 type analyzerKey struct {
-	lat     platform.LatencyTable
-	reg     *wcet.Registry
-	workers int
-}
-
-// solverWorkers is the process-wide branch & bound worker count for the
-// artefact campaigns' ILP solves, set once at startup (cmd/experiments
-// -solver-workers) before any campaign runs. Bounds are worker-count
-// independent, so artefacts are identical whatever the setting.
-var solverWorkers atomic.Int32
-
-// SetSolverWorkers configures how many branch & bound workers the
-// campaigns' ILP-based models solve with; n <= 1 keeps solves sequential.
-func SetSolverWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	solverWorkers.Store(int32(n))
+	lat platform.LatencyTable
+	reg *wcet.Registry
 }
 
 // analyzers caches one Analyzer per (latency table, registry) across all
@@ -256,11 +239,7 @@ const analyzerEstimateCache = 256
 // the given registry (nil selects the shared default). Callers pass the
 // scenario tailoring per request.
 func analyzerFor(lat platform.LatencyTable, reg *wcet.Registry) (*wcet.Analyzer, error) {
-	sw := int(solverWorkers.Load())
-	if sw < 1 {
-		sw = 1
-	}
-	key := analyzerKey{lat: lat, reg: reg, workers: sw}
+	key := analyzerKey{lat: lat, reg: reg}
 	if an, ok := analyzers.Load(key); ok {
 		return an.(*wcet.Analyzer), nil
 	}
@@ -271,7 +250,6 @@ func analyzerFor(lat platform.LatencyTable, reg *wcet.Registry) (*wcet.Analyzer,
 		wcet.WithLatencyTable(lat),
 		wcet.WithConcurrency(1),
 		wcet.WithCache(analyzerEstimateCache),
-		wcet.WithSolverWorkers(sw),
 	}
 	if reg != nil {
 		opts = append(opts, wcet.WithRegistry(reg))

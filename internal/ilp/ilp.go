@@ -253,28 +253,9 @@ type Options struct {
 	// have plateaus that exact search must enumerate; a gap of one
 	// request latency collapses them while UpperBound stays sound.
 	Gap float64
-	// Workers, when greater than 1, lets the branch & bound explore
-	// subtrees concurrently once the tree has proved itself large: the
-	// search always starts with an exact sequential prefix of up to
-	// MinParallelNodes nodes (bit-identical to Workers=1, so small trees
-	// never pay any coordination overhead), and only a search still open
-	// after the prefix fans out across a worker pool. See docs/SOLVER.md
-	// "Parallel branch & bound" for the determinism contract.
-	Workers int
-	// MinParallelNodes is the sequential-prefix budget before a
-	// Workers>1 search goes parallel; 0 means the default (256). Only
-	// consulted when Workers > 1.
-	MinParallelNodes int
 }
 
-const (
-	defaultMaxNodes = 1_000_000
-	// defaultMinParallelNodes is the node-count heuristic behind the
-	// "1 worker for small trees" rule: a tree that closes within this
-	// many nodes solves in well under a millisecond sequentially, which
-	// is below the cost of spinning up and draining a worker pool.
-	defaultMinParallelNodes = 256
-)
+const defaultMaxNodes = 1_000_000
 
 // intTol is the integrality tolerance: relaxation values this close to an
 // integer are accepted as integral.
@@ -289,12 +270,6 @@ type node struct {
 	// bound is the parent relaxation objective, used for best-first
 	// ordering and pruning.
 	bound float64
-	// path is the branch path from the root: one digit per branching
-	// decision, 0 for the dive-preferred child and 1 for the other. Only
-	// tracked when a solve may go parallel (Workers > 1) — it is the
-	// total order behind the deterministic equal-objective tie-break —
-	// and nil otherwise.
-	path []byte
 }
 
 // solverPool recycles lp.Solvers (and with them their tableau arenas)
@@ -305,15 +280,10 @@ var solverPool = sync.Pool{New: func() any {
 	return lp.NewSolver()
 }}
 
-// Solve maximizes the problem over integer assignments.
-//
-// With opts.Workers <= 1 the search is the classic sequential branch &
-// bound. With Workers > 1 it runs in two phases: an exact sequential
-// prefix of up to opts.MinParallelNodes nodes — bit-identical to the
-// sequential search, so any tree that closes within the prefix returns
-// exactly what Workers=1 would — and, only if the tree is still open
-// after that, a parallel phase across a worker pool (see parallel.go for
-// the determinism contract).
+// Solve maximizes the problem over integer assignments by a sequential,
+// depth-first branch & bound. The search is deterministic: the same
+// Problem and Options always explore the same tree and return the same
+// Solution.
 func (p *Problem) Solve(opts Options) (Solution, error) {
 	maxNodes := opts.MaxNodes
 	if maxNodes <= 0 {
@@ -340,8 +310,7 @@ func (p *Problem) Solve(opts Options) (Solution, error) {
 	statsBase := solver.Stats()
 	defer func() {
 		// One flush per Solve: the per-node accounting stayed in the
-		// Solver's plain fields until here. (The parallel phase flushes
-		// its workers' deltas separately, after they have all joined.)
+		// Solver's plain fields until here.
 		d := solver.Stats()
 		mWarmStarts.Add(d.Warm - statsBase.Warm)
 		mWarmFallbacks.Add(d.WarmFallbacks - statsBase.WarmFallbacks)
@@ -365,39 +334,17 @@ func (p *Problem) Solve(opts Options) (Solution, error) {
 		}
 	}
 
-	workers := opts.Workers
-	prefix := 0 // 0 = unbounded: pure sequential solve
-	if workers > 1 {
-		s.trackPaths = true
-		prefix = opts.MinParallelNodes
-		if prefix <= 0 {
-			prefix = defaultMinParallelNodes
-		}
-		if prefix >= maxNodes {
-			prefix = 0 // the node limit trips first; never goes parallel
-		}
-	}
-
 	s.rootBound = math.Inf(1)
 	root := node{lower: s.cloneOf(p.lower), upper: s.cloneOf(p.upper), bound: math.Inf(1)}
 	s.stack = append(s.stack, root)
 
-	done, err := s.run(prefix)
-	if err != nil {
+	if err := s.run(); err != nil {
 		return Solution{}, err
 	}
-	if done {
-		mBBWorkers.Set(1)
-		return s.finish(statsBase)
-	}
-	// The prefix budget expired with the tree still open: the instance
-	// has proved itself large enough to be worth a worker pool.
-	return p.solveParallel(s, workers, statsBase)
+	return s.finish(statsBase)
 }
 
-// search is the sequential branch & bound state: Solve runs it either to
-// completion (Workers <= 1) or as the bounded exact prefix of a parallel
-// solve. All fields are owned by one goroutine.
+// search is the branch & bound state of one Solve.
 type search struct {
 	p        *Problem
 	rel      *relaxation
@@ -406,34 +353,23 @@ type search struct {
 	maxNodes int
 
 	objIntegral bool
-	// trackPaths records each node's branch path (see node.path); enabled
-	// only when the solve may hand off to the parallel phase.
-	trackPaths bool
 
 	stack     []node
 	nodes     int
 	bestX     []float64 // incumbent, by variable index; nil when none yet
 	bestObj   float64
-	bestPath  []byte
 	rootBound float64
 
-	nodeArena
+	// free recycles node storage: a popped node's slices are dead once
+	// its children are copied, so the steady-state search allocates no
+	// per-node storage.
+	free [][]float64
 }
 
-// nodeArena recycles node storage through freelists: a popped node's
-// slices are dead once its children are copied, so the steady-state
-// search allocates no per-node storage. The sequential search owns one;
-// each parallel worker owns its own (a stolen node's slices are simply
-// recycled by whichever worker pops it).
-type nodeArena struct {
-	free     [][]float64
-	pathFree [][]byte
-}
-
-func (a *nodeArena) cloneOf(src []float64) []float64 {
+func (s *search) cloneOf(src []float64) []float64 {
 	var dst []float64
-	if k := len(a.free); k > 0 {
-		dst, a.free = a.free[k-1][:len(src)], a.free[:k-1]
+	if k := len(s.free); k > 0 {
+		dst, s.free = s.free[k-1][:len(src)], s.free[:k-1]
 	} else {
 		dst = make([]float64, len(src))
 	}
@@ -441,22 +377,8 @@ func (a *nodeArena) cloneOf(src []float64) []float64 {
 	return dst
 }
 
-func (a *nodeArena) recycle(n node) {
-	a.free = append(a.free, n.lower, n.upper)
-	if n.path != nil {
-		a.pathFree = append(a.pathFree, n.path)
-	}
-}
-
-// childPath returns parent's branch path extended by one digit, drawing
-// storage from the path freelist.
-func (a *nodeArena) childPath(parent []byte, digit byte) []byte {
-	var dst []byte
-	if k := len(a.pathFree); k > 0 {
-		dst, a.pathFree = a.pathFree[k-1][:0], a.pathFree[:k-1]
-	}
-	dst = append(dst, parent...)
-	return append(dst, digit)
+func (s *search) recycle(n node) {
+	s.free = append(s.free, n.lower, n.upper)
 }
 
 func (s *search) dominated(bound, incumbent float64) bool {
@@ -484,18 +406,12 @@ func (s *search) openBound() float64 {
 	return ub
 }
 
-// run executes the sequential depth-first loop. A positive budget bounds
-// how many nodes this call may explore; run returns done=false when the
-// budget expired with the tree still open (the parallel hand-off point).
-// With budget 0 it runs to one of the sequential stop conditions and
-// always reports done.
-func (s *search) run(budget int) (done bool, err error) {
+// run executes the depth-first loop until the tree is closed or one of the
+// early stop conditions (proved optimum, gap cutoff) holds.
+func (s *search) run() error {
 	for len(s.stack) > 0 {
-		if budget > 0 && s.nodes >= budget {
-			return false, nil
-		}
 		if s.nodes >= s.maxNodes {
-			return false, fmt.Errorf("%w (%d nodes)", ErrNodeLimit, s.nodes)
+			return fmt.Errorf("%w (%d nodes)", ErrNodeLimit, s.nodes)
 		}
 		s.nodes++
 		// Depth-first: take the most recent node.
@@ -506,9 +422,9 @@ func (s *search) run(budget int) (done bool, err error) {
 			continue // parent bound already dominated
 		}
 
-		status, obj, x, err := s.rel.solve(s.solver, s.p, n, false)
+		status, obj, x, err := s.rel.solve(s.solver, s.p, n)
 		if err != nil {
-			return false, err
+			return err
 		}
 		switch status {
 		case lp.Infeasible:
@@ -517,7 +433,7 @@ func (s *search) run(budget int) (done bool, err error) {
 		case lp.Unbounded:
 			// An unbounded relaxation at the root means the ILP is
 			// unbounded (with integral data there is an integer ray).
-			return false, ErrUnbounded
+			return ErrUnbounded
 		}
 		if s.nodes == 1 {
 			s.rootBound = obj
@@ -545,19 +461,16 @@ func (s *search) run(budget int) (done bool, err error) {
 			// names are attached once, after the search.
 			s.bestObj = obj
 			s.bestX = append(s.bestX[:0], x...)
-			if s.trackPaths {
-				s.bestPath = append(s.bestPath[:0], n.path...)
-			}
 			s.recycle(n)
 			// With an integral objective, an incumbent matching the
 			// floored root relaxation bound is provably optimal — stop
 			// without draining the plateau of equal-bound nodes.
 			if s.objIntegral && s.bestObj >= math.Floor(s.rootBound+intTol)-intTol {
-				return true, nil
+				return nil
 			}
 			// Gap cutoff: good enough per the caller's tolerance.
 			if s.opts.Gap > 0 && s.openBound()-s.bestObj <= s.opts.Gap {
-				return true, nil
+				return nil
 			}
 			continue
 		}
@@ -575,13 +488,6 @@ func (s *search) run(budget int) (done bool, err error) {
 		if xb-math.Floor(xb) > 0.5 {
 			first, second = up, down
 		}
-		if s.trackPaths {
-			// The dive-preferred child (popped first) extends the path
-			// with 0, the other with 1, so lexicographic path order is
-			// exactly the order the sequential search visits leaves in.
-			second.path = s.childPath(n.path, 0)
-			first.path = s.childPath(n.path, 1)
-		}
 		s.recycle(n)
 		if first.lower[branch] <= first.upper[branch] {
 			s.stack = append(s.stack, first)
@@ -594,10 +500,10 @@ func (s *search) run(budget int) (done bool, err error) {
 			s.recycle(second)
 		}
 	}
-	return true, nil
+	return nil
 }
 
-// finish assembles the Solution after a purely sequential search.
+// finish assembles the Solution once the search has stopped.
 func (s *search) finish(statsBase lp.SolveStats) (Solution, error) {
 	if s.bestX == nil {
 		return Solution{}, ErrInfeasible
@@ -649,17 +555,7 @@ type relaxation struct {
 // contribution folded into the RHS. Returns ErrInfeasible when a constant
 // row is violated.
 func (p *Problem) buildRelaxation() (*relaxation, error) {
-	if err := p.buildRelaxationInto(&p.rel); err != nil {
-		return nil, err
-	}
-	return &p.rel, nil
-}
-
-// buildRelaxationInto builds the relaxation into rel. The parallel phase
-// gives every worker its own relaxation (each node solve rewrites the LP's
-// bounds in place, so a shared one would race); it only reads the
-// Problem, so concurrent builds over the same Problem are safe.
-func (p *Problem) buildRelaxationInto(rel *relaxation) error {
+	rel := &p.rel
 	if rel.rp == nil {
 		rel.rp = lp.NewProblem()
 	} else {
@@ -699,37 +595,27 @@ func (p *Problem) buildRelaxationInto(rel *relaxation) error {
 				ok = math.Abs(rhs) <= feasTol
 			}
 			if !ok {
-				return ErrInfeasible
+				return nil, ErrInfeasible
 			}
 			continue
 		}
 		rel.rp.AddConstraint(terms, c.sense, rhs)
 	}
-	return nil
+	return rel, nil
 }
 
 // solve evaluates one node's relaxation: move the LP bounds to the node's
-// and re-solve. Sequential callers pass cold=false and get the Solver's
-// warm-start path whenever the tableau layout is unchanged; the parallel
-// phase passes cold=true so the returned vertex is a pure function of the
-// node's bounds, independent of what the worker solved before (the
-// foundation of its determinism contract — see parallel.go). The returned
-// x is rel's scratch vector, valid until the next call; the objective is
-// recomputed over the full vector in variable order so presolve does not
-// perturb bound values.
-func (rel *relaxation) solve(s *lp.Solver, p *Problem, n node, cold bool) (lp.Status, float64, []float64, error) {
+// and re-solve, taking the Solver's warm-start path whenever the tableau
+// layout is unchanged. The returned x is rel's scratch vector, valid until
+// the next call; the objective is recomputed over the full vector in
+// variable order so presolve does not perturb bound values.
+func (rel *relaxation) solve(s *lp.Solver, p *Problem, n node) (lp.Status, float64, []float64, error) {
 	for j, li := range rel.lpIdx {
 		if li >= 0 {
 			rel.rp.SetBounds(li, n.lower[j], n.upper[j])
 		}
 	}
-	var sol lp.Solution
-	var err error
-	if cold {
-		sol, err = s.SolveCold(rel.rp)
-	} else {
-		sol, err = s.Solve(rel.rp)
-	}
+	sol, err := s.Solve(rel.rp)
 	if err != nil {
 		return 0, 0, nil, err
 	}

@@ -260,3 +260,80 @@ func TestRelaxationDominanceProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestSolveMatchesBruteForceOracle checks Solve against exhaustive
+// enumeration on 100 random instances: status and objective must match
+// brute force, the proved upper bound must equal the objective of the
+// completed search, and when brute force proves the optimum unique the
+// solution vector must be exactly that point.
+func TestSolveMatchesBruteForceOracle(t *testing.T) {
+	next := lcg(0xD15EED)
+	feasible, unique := 0, 0
+	for trial := 0; trial < 100; trial++ {
+		obj, hi, cons := randomBox(2+next(3), next) // 2-4 vars
+		want, optima, arg := bruteForceOpt(obj, hi, cons)
+		sol, xs, err := solveBox(obj, hi, cons, Options{})
+
+		if math.IsInf(want, -1) {
+			if !errors.Is(err, ErrInfeasible) {
+				t.Fatalf("trial %d: want ErrInfeasible, got %v", trial, err)
+			}
+			continue
+		}
+		feasible++
+		if err != nil {
+			t.Fatalf("trial %d: unexpected error %v", trial, err)
+		}
+		if math.Abs(sol.Objective-want) > 1e-6 {
+			t.Fatalf("trial %d: objective %g, brute force %g\nobj=%v hi=%v cons=%+v",
+				trial, sol.Objective, want, obj, hi, cons)
+		}
+		if !approx(sol.UpperBound, sol.Objective) {
+			t.Fatalf("trial %d: completed search reports upper bound %g, objective %g",
+				trial, sol.UpperBound, sol.Objective)
+		}
+		if optima == 1 {
+			unique++
+			for j, x := range arg {
+				if xs[j] != float64(x) {
+					t.Fatalf("trial %d: unique optimum %v, solver returned %v", trial, arg, xs)
+				}
+			}
+		}
+	}
+	if feasible < 30 || unique < 10 {
+		t.Fatalf("generator drift: only %d feasible / %d unique-optimum trials", feasible, unique)
+	}
+}
+
+// plateauProblem builds a deliberately symmetric instance — maximize
+// sum(x) under sum(2x) <= 2k+1 — whose optimum k is attained by many
+// vectors, so exact search must enumerate a wide equal-objective plateau.
+func plateauProblem(n, k int) *Problem {
+	p := New()
+	terms := make([]Term, n)
+	for j := range terms {
+		v := p.AddInt(string(rune('a'+j)), 0, float64(k))
+		p.SetObjective(v, 1)
+		terms[j] = Term{v, 2}
+	}
+	p.Add(terms, LE, float64(2*k+1))
+	return p
+}
+
+// TestGapUpperBound: a gap-stopped search leaves nodes open, but its
+// proved bound must stay sound — floor(rootBound) for integral objectives.
+func TestGapUpperBound(t *testing.T) {
+	const n, k = 6, 7
+	sol, err := plateauProblem(n, k).Solve(Options{Gap: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Objective != float64(k) {
+		t.Fatalf("objective %g, want %d", sol.Objective, k)
+	}
+	// Root LP bound is k+0.5; the floored proof is exactly k.
+	if sol.UpperBound != float64(k) {
+		t.Fatalf("upper bound %g, want %d", sol.UpperBound, k)
+	}
+}

@@ -135,23 +135,6 @@ func (s *Solver) Solve(p *Problem) (Solution, error) {
 	return s.coldSolve(p)
 }
 
-// SolveCold maximizes the problem from scratch, never consulting the
-// stored basis, while still reusing the Solver's tableau arena. The
-// result is a pure function of the Problem's current coefficients and
-// bounds — unlike Solve, whose returned vertex can depend on which basis
-// the previous call left behind when the optimum is degenerate. Callers
-// that need reproducible vertices regardless of solver history (the
-// parallel branch & bound phase of internal/ilp) use this entry point.
-func (s *Solver) SolveCold(p *Problem) (Solution, error) {
-	n := len(p.obj)
-	if n == 0 {
-		s.ok = false
-		return Solution{Status: Optimal}, nil
-	}
-	s.stats.Cold++
-	return s.coldSolve(p)
-}
-
 // canWarm reports whether the stored tableau belongs to p's current
 // structure.
 func (s *Solver) canWarm(p *Problem) bool {

@@ -120,6 +120,24 @@ func checkGolden(t *testing.T, name string, got []byte) {
 	}
 }
 
+// postGolden posts one recorded /v1/wcet request and returns the body.
+func postGolden(t *testing.T, url, body string) []byte {
+	t.Helper()
+	resp, err := http.Post(url+"/v1/wcet", "application/json", bytes.NewReader([]byte(body)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %s", resp.Status)
+	}
+	var buf bytes.Buffer
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // TestV1GoldenWCET asserts POST /v1/wcet answers byte-identically to the
 // recorded fixtures.
 func TestV1GoldenWCET(t *testing.T) {
@@ -129,56 +147,32 @@ func TestV1GoldenWCET(t *testing.T) {
 
 	for _, tc := range goldenRequests {
 		t.Run(tc.name, func(t *testing.T) {
-			resp, err := http.Post(ts.URL+"/v1/wcet", "application/json", bytes.NewReader([]byte(tc.body)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("status %s", resp.Status)
-			}
-			var buf bytes.Buffer
-			if _, err := buf.ReadFrom(resp.Body); err != nil {
-				t.Fatal(err)
-			}
-			checkGolden(t, "v1_wcet_"+tc.name, buf.Bytes())
+			checkGolden(t, "v1_wcet_"+tc.name, postGolden(t, ts.URL, tc.body))
 		})
 	}
 }
 
 // TestV1GoldenParallelWorkers asserts the /v1 wire format is byte-
-// identical when the server solves with a parallel branch & bound
-// (SolverWorkers > 1): the fixtures recorded from sequential solves must
-// match exactly, without ever being rewritten from the parallel run. This
-// is the serving-layer face of the solver's determinism contract — the
-// /v1 bound is the solver's proved upper bound, which is worker-count
-// independent even for gap-stopped searches.
+// identical when a wide server (an 8-worker campaign engine) answers the
+// recorded requests concurrently: the solves then share the pooled model
+// builders and LP solvers, and the fixtures must still match exactly,
+// without ever being rewritten from this run.
 func TestV1GoldenParallelWorkers(t *testing.T) {
-	srv := New(Config{SolverWorkers: 8}, nil)
+	srv := New(Config{Workers: 8}, nil)
 	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	t.Cleanup(ts.Close) // after the parallel subtests, unlike defer
 
 	for _, tc := range goldenRequests {
 		t.Run(tc.name, func(t *testing.T) {
-			resp, err := http.Post(ts.URL+"/v1/wcet", "application/json", bytes.NewReader([]byte(tc.body)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("status %s", resp.Status)
-			}
-			var buf bytes.Buffer
-			if _, err := buf.ReadFrom(resp.Body); err != nil {
-				t.Fatal(err)
-			}
+			t.Parallel()
+			got := postGolden(t, ts.URL, tc.body)
 			want, err := os.ReadFile(goldenPath(t, "v1_wcet_"+tc.name))
 			if err != nil {
 				t.Fatalf("reading fixture: %v", err)
 			}
-			if !bytes.Equal(buf.Bytes(), want) {
-				t.Errorf("%s: parallel solves drifted from the sequential v1 wire format\ngot:\n%s\nwant:\n%s",
-					tc.name, buf.Bytes(), want)
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s: concurrent solves drifted from the recorded v1 wire format\ngot:\n%s\nwant:\n%s",
+					tc.name, got, want)
 			}
 		})
 	}

@@ -31,11 +31,6 @@ type Config struct {
 	// CacheEntries caps the canonical-request result cache; <= 0 selects
 	// 1024.
 	CacheEntries int
-	// SolverWorkers is the branch & bound worker count for ILP-based
-	// models; <= 0 selects 1 (sequential solves). Bounds are worker-count
-	// independent, so raising it only trades CPU for latency on large
-	// solves.
-	SolverWorkers int
 	// MaxInFlight is the admission-control concurrency limit: how many
 	// requests may be past admission at once; <= 0 selects 64.
 	MaxInFlight int
@@ -177,7 +172,7 @@ type CacheStats struct {
 	// Misses counts lookups that had to evaluate.
 	Misses int64 `json:"misses"`
 	// Dedup counts requests that piggybacked on an identical in-flight
-	// evaluation instead of starting their own (counted in Misses too).
+	// evaluation instead of starting their own (not counted in Misses).
 	Dedup     int64 `json:"dedup"`
 	Entries   int   `json:"entries"`
 	Capacity  int   `json:"capacity"`
@@ -331,9 +326,6 @@ func New(cfg Config, engine *campaign.Engine) *Server {
 		panic(fmt.Sprintf("service: default table ref does not resolve: %v", err))
 	}
 	opts := []wcet.Option{wcet.WithRegistry(reg), wcet.WithConcurrency(1), wcet.WithTableStore(store)}
-	if cfg.SolverWorkers > 1 {
-		opts = append(opts, wcet.WithSolverWorkers(cfg.SolverWorkers))
-	}
 	analyzer, err := wcet.NewAnalyzer(opts...)
 	if err != nil {
 		// The registry lacks the v1 pair — a v2-only deployment. Default
@@ -532,25 +524,16 @@ func (s *Server) admit(ctx context.Context) (release func(), err error) {
 	}, nil
 }
 
-// lookupOrCompute is the one cache-accounting point per request: a
-// counting cache lookup, then the miss path. compute is the version-specific
-// evaluation (v1 or v2); the admission, caching and singleflight machinery
-// is shared. ctx carries the request trace (when one is active) into the
-// evaluation's spans.
+// lookupOrCompute is the one cache-accounting point per request, which
+// ends up counted exactly once: as a hit (served from the cache), a dedup
+// (joined an identical in-flight evaluation) or a miss (evaluated).
+// compute is the version-specific evaluation (v1 or v2); the admission,
+// caching and singleflight machinery is shared. ctx carries the request
+// trace (when one is active) into the evaluation's spans, and bounds only
+// a join wait: an evaluation, once started, runs to completion so its
+// result can be cached for the next asker.
 func (s *Server) lookupOrCompute(ctx context.Context, key string, compute func(context.Context) (*cached, error)) (*cached, error) {
-	if v, ok := s.cache.get(key); ok {
-		return v, nil
-	}
-	return s.computeMiss(ctx, key, compute)
-}
-
-// computeMiss resolves a request whose miss is already counted: re-check
-// the cache without accounting (an identical request may have landed while
-// this one queued), join an identical in-flight evaluation, or evaluate.
-// ctx bounds only the join wait: an evaluation, once started, runs to
-// completion so its result can be cached for the next asker.
-func (s *Server) computeMiss(ctx context.Context, key string, compute func(context.Context) (*cached, error)) (*cached, error) {
-	if v, ok := s.cache.peek(key); ok {
+	if v, ok := s.cache.getHit(key); ok {
 		return v, nil
 	}
 	s.flightMu.Lock()
@@ -566,9 +549,17 @@ func (s *Server) computeMiss(ctx context.Context, key string, compute func(conte
 			return nil, ctx.Err()
 		}
 	}
+	// Re-check under flightMu: an evaluation stores its result before it
+	// deregisters its flight, so a key with no flight here is either
+	// cached or not being evaluated — it is never evaluated twice.
+	if v, ok := s.cache.getHit(key); ok {
+		s.flightMu.Unlock()
+		return v, nil
+	}
 	f := &flight{done: make(chan struct{})}
 	s.flights[key] = f
 	s.flightMu.Unlock()
+	s.metrics.cacheMisses.Inc()
 
 	ectx, espan := telemetry.StartSpan(ctx, "evaluate")
 	f.val, f.err = compute(ectx)

@@ -11,8 +11,8 @@
 #   BENCH_GATE_PATTERN    -bench regexp (default: the cold-solve paths
 #                         BenchmarkTable5Tailoring and BenchmarkFigure4,
 #                         plus the concurrency trajectory —
-#                         BenchmarkTable5Parallel, BenchmarkCacheHitParallel,
-#                         BenchmarkServeSaturated and BenchmarkCampaignJob,
+#                         BenchmarkCacheHitParallel, BenchmarkServeSaturated
+#                         and BenchmarkCampaignJob,
 #                         the interactive-latency-under-background-jobs
 #                         guarantee)
 #   BENCH_GATE_OUT        aggregated JSON output (default bench.json)
@@ -28,7 +28,7 @@ cd "$(dirname "$0")/.."
 
 COUNT="${BENCH_GATE_COUNT:-5}"
 BENCHTIME="${BENCH_GATE_BENCHTIME:-1s}"
-PATTERN="${BENCH_GATE_PATTERN:-^(BenchmarkTable5Tailoring|BenchmarkFigure4|BenchmarkTable5Parallel|BenchmarkCacheHitParallel|BenchmarkServeSaturated|BenchmarkCampaignJob)\$}"
+PATTERN="${BENCH_GATE_PATTERN:-^(BenchmarkTable5Tailoring|BenchmarkFigure4|BenchmarkCacheHitParallel|BenchmarkServeSaturated|BenchmarkCampaignJob)\$}"
 OUT="${BENCH_GATE_OUT:-bench.json}"
 PR="${BENCH_GATE_PR:-0}"
 

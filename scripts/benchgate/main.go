@@ -285,13 +285,10 @@ func cmdGate(args []string) {
 		// Rate metrics ("*_rate": cache_hit_rate, warm_start_rate, ...)
 		// are effectiveness fractions, so they gate in the opposite
 		// direction: the run fails when the current rate falls more than
-		// the threshold below the committed one. speedup_x (parallel
-		// branch & bound vs sequential, BenchmarkTable5Parallel) gates
-		// the same way — losing it means the worker pool stopped paying
-		// for itself on multi-core runners. Ratios like ilp_x are
+		// the threshold below the committed one. Ratios like ilp_x are
 		// reproduced paper values, not effectiveness — informational.
 		for unit, rv := range r.Metrics {
-			if !(strings.HasSuffix(unit, "_rate") || unit == "speedup_x") || rv <= 0 {
+			if !strings.HasSuffix(unit, "_rate") || rv <= 0 {
 				continue
 			}
 			cv, ok := c.Metrics[unit]

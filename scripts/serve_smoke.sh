@@ -29,9 +29,7 @@ trap 'rm -rf "$(dirname "$BIN")"' EXIT
 
 go build -o "$BIN" ./cmd/wcetd
 
-# -solver-workers 2 so the smoke also proves the parallel branch & bound
-# serves byte-identical answers and reports its telemetry.
-"$BIN" -addr "$ADDR" -solver-workers 2 &
+"$BIN" -addr "$ADDR" &
 PID=$!
 cleanup() {
   kill "$PID" 2>/dev/null || true
@@ -158,8 +156,8 @@ curl -fsS -X POST "http://$ADDR/v1/wcet" -d '{
 }' >/dev/null
 metrics=$(curl -fsS "http://$ADDR/metrics")
 for series in wcetd_requests_total wcetd_cache_hits_total wcetd_cache_shard_contention_total \
-              solver_warm_starts_total solver_ilp_solves_total solver_bb_workers \
-              solver_bb_steals_total analyzer_estimates_total campaign_cells_total; do
+              solver_warm_starts_total solver_ilp_solves_total solver_bb_nodes_total \
+              analyzer_estimates_total campaign_cells_total; do
   if ! echo "$metrics" | grep -q "^# TYPE $series "; then
     echo "serve-smoke: /metrics missing $series" >&2
     exit 1
@@ -203,17 +201,9 @@ echo "$traced" | grep -q '"name":"model:ilpPtac"'
 # The inline response must still carry the analysis payload.
 echo "$traced" | grep -q '"ilpPtac"'
 
-echo "serve-smoke: parallel solver + sharded cache telemetry"
-# The traced scenario2 request above ran a big enough branch & bound tree
-# for the parallel phase to engage (the daemon runs -solver-workers 2),
-# so the worker gauge must report the configured width and the per-shard
-# contention series must expose at least shard 0.
+echo "serve-smoke: sharded cache telemetry"
+# The per-shard contention series must expose at least shard 0.
 metrics=$(curl -fsS "http://$ADDR/metrics")
-bb_workers=$(echo "$metrics" | grep '^solver_bb_workers ' | awk '{print $2}')
-if [ "$bb_workers" != "2" ]; then
-  echo "serve-smoke: solver_bb_workers = '$bb_workers', want 2" >&2
-  exit 1
-fi
 if ! echo "$metrics" | grep -q '^wcetd_cache_shard_contention_total{shard="0"}'; then
   echo "serve-smoke: /metrics missing per-shard wcetd_cache_shard_contention_total series" >&2
   exit 1

@@ -32,14 +32,13 @@ var (
 // optional response-time-analysis verdict per request. An Analyzer is
 // immutable after construction and safe for concurrent use.
 type Analyzer struct {
-	reg           *Registry
-	lat           LatencyTable
-	store         TableStore
-	sc            Scenario
-	models        []string // canonical, resolved at construction
-	conc          int
-	solverWorkers int
-	cache         *estimateCache
+	reg    *Registry
+	lat    LatencyTable
+	store  TableStore
+	sc     Scenario
+	models []string // canonical, resolved at construction
+	conc   int
+	cache  *estimateCache
 }
 
 // TableStore resolves named latency-table references — the SDK's view of
@@ -159,32 +158,15 @@ func WithConcurrency(n int) Option {
 	}
 }
 
-// WithSolverWorkers sets the branch & bound worker count ILP-based models
-// solve with (Input.SolverWorkers). 1 — the default — keeps every solve
-// sequential; higher values let large searches fan out across cores while
-// small trees still run sequentially under the solver's node-count
-// heuristic. Bounds are worker-count independent, so this is purely a
-// latency knob.
-func WithSolverWorkers(n int) Option {
-	return func(a *Analyzer) error {
-		if n <= 0 {
-			return fmt.Errorf("wcet: WithSolverWorkers needs a positive count, got %d", n)
-		}
-		a.solverWorkers = n
-		return nil
-	}
-}
-
 // NewAnalyzer builds an Analyzer. Without options it analyses on the
 // TC27x under Scenario 1 with the paper's two headline models, fTC and
 // ILP-PTAC — the historical behaviour of the v1 service and CLI.
 func NewAnalyzer(opts ...Option) (*Analyzer, error) {
 	a := &Analyzer{
-		lat:           TC27x(),
-		sc:            Scenario1(),
-		models:        []string{"ftc", "ilpPtac"},
-		conc:          runtime.GOMAXPROCS(0),
-		solverWorkers: 1,
+		lat:    TC27x(),
+		sc:     Scenario1(),
+		models: []string{"ftc", "ilpPtac"},
+		conc:   runtime.GOMAXPROCS(0),
 	}
 	for _, opt := range opts {
 		if err := opt(a); err != nil {
@@ -422,7 +404,6 @@ func (a *Analyzer) analyze(ctx context.Context, req Request, sem chan struct{}) 
 		Scenario:          sc,
 		StallMode:         req.StallMode,
 		DropContenderInfo: req.DropContenderInfo,
-		SolverWorkers:     a.solverWorkers,
 	}
 	_, vspan := telemetry.StartSpan(ctx, "validate")
 	err := in.Validate()

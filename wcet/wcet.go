@@ -118,11 +118,6 @@ type Input struct {
 	// DropContenderInfo removes the contenders' constraints from ILP-based
 	// models, making their bounds fully time-composable (§3.5).
 	DropContenderInfo bool
-	// SolverWorkers is the branch & bound worker count for ILP-based
-	// models; 0 or 1 solves sequentially. Results are unaffected: the
-	// solver's deterministic tie-breaking keeps bounds independent of the
-	// worker count.
-	SolverWorkers int
 }
 
 // Validate checks the parts of the input every model shares; model-specific
@@ -178,6 +173,5 @@ func (in Input) ptacOptions() core.PTACOptions {
 	return core.PTACOptions{
 		StallMode:         in.StallMode,
 		DropContenderInfo: in.DropContenderInfo,
-		SolverWorkers:     in.SolverWorkers,
 	}
 }
