@@ -5,13 +5,14 @@
 // so bulk campaigns soak idle solver capacity without starving the
 // interactive serving path.
 //
-// Durability contract: every completed cell is appended to a per-job
-// checkpoint log (one checksummed JSON line per cell), and job state
-// transitions are persisted with the tabstore's atomic temp+rename
-// idiom. A killed or gracefully shut-down daemon resumes every
-// non-terminal job on restart from its last good checkpoint line — a
-// torn or tampered tail is truncated and those cells re-solved, which is
-// safe because cells are deterministic in their inputs. The finished
+// Durability contract, built on internal/store: every completed cell is
+// appended to a per-job checkpoint log (one checksummed line per cell,
+// keyed by grid index), and job state transitions and artifacts are
+// persisted with store.WriteFileAtomic. A killed or gracefully shut-down
+// daemon resumes every non-terminal job on restart from its last good
+// checkpoint line — a torn or tampered tail is truncated and those cells
+// re-solved, which is safe because cells are deterministic in their
+// inputs. The finished
 // artifact is a content-addressed JSON file; its name is the SHA-256 of
 // its bytes, verified on every read, so a half-written or tampered
 // artifact is never served. Because the artifact wire form excludes

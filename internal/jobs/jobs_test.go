@@ -14,6 +14,7 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/experiments"
 	"repro/internal/platform"
+	"repro/internal/store"
 	"repro/internal/tabstore"
 	"repro/wcet"
 )
@@ -447,48 +448,34 @@ func TestInMemoryManager(t *testing.T) {
 	}
 }
 
-// TestCheckpointLoader unit-drives the torn/tampered tail handling.
+// TestCheckpointLoader unit-drives the job's own record check: a
+// checksummed record whose index lies outside the grid ends the verified
+// prefix. (Torn and tampered lines are internal/store's tests.)
 func TestCheckpointLoader(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "cells.jsonl")
-
-	pt := experiments.PointJSON{Scenario: 1, Level: "H-Load", IsolationCycles: 42}
-	l0, err := encodeCheckpointLine(0, pt)
+	path := filepath.Join(t.TempDir(), "cells.jsonl")
+	raw, err := json.Marshal(experiments.PointJSON{Scenario: 1, Level: "H-Load", IsolationCycles: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
-	l1, err := encodeCheckpointLine(1, pt)
+	log, err := store.OpenLog(path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Torn tail: half of the second line.
-	if err := os.WriteFile(path, append(append([]byte{}, l0...), l1[:len(l1)/2]...), 0o644); err != nil {
-		t.Fatal(err)
+	for idx := int64(0); idx < 2; idx++ {
+		if err := log.Append(idx, raw); err != nil {
+			t.Fatal(err)
+		}
 	}
-	load, err := loadCheckpoint(path, 6)
-	if err != nil {
+	if err := log.Close(); err != nil {
 		t.Fatal(err)
-	}
-	if len(load.points) != 1 || load.dropped == 0 || load.goodBytes != int64(len(l0)) {
-		t.Fatalf("torn tail load: %+v", load)
 	}
 
 	// Out-of-range index: rejected.
-	if err := os.WriteFile(path, append(append([]byte{}, l0...), l1...), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	load, err = loadCheckpoint(path, 1)
+	load, err := loadCheckpoint(path, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(load.points) != 1 || load.dropped == 0 {
 		t.Fatalf("out-of-range load: %+v", load)
-	}
-
-	// Missing file: empty log.
-	load, err = loadCheckpoint(filepath.Join(dir, "nope.jsonl"), 6)
-	if err != nil || len(load.points) != 0 || load.goodBytes != 0 {
-		t.Fatalf("missing file load: %+v, %v", load, err)
 	}
 }

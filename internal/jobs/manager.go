@@ -2,6 +2,8 @@ package jobs
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -15,6 +17,7 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/experiments"
+	"repro/internal/store"
 	"repro/internal/tabstore"
 	"repro/internal/telemetry"
 	"repro/wcet"
@@ -73,6 +76,10 @@ type job struct {
 	log    []Event
 	subs   map[*subscriber]struct{}
 	cancel context.CancelFunc
+	// ckpt appends completed cells to the checkpoint log (nil when the
+	// manager is in-memory). It is opened before run starts and closed
+	// when run returns.
+	ckpt *store.Log
 	// artifact holds the encoded results when the manager is in-memory
 	// (no Dir to read them back from).
 	artifact []byte
@@ -191,8 +198,8 @@ func (m *Manager) loadAll() error {
 			j.log = append(j.log, terminalEvent(len(j.log)+1, meta, len(load.points)))
 		} else {
 			// Cut the unverifiable tail before appends resume.
-			if err := truncateFile(m.ckptPath(id), load.goodBytes); err != nil {
-				m.cfg.Logger.Warn("jobs: cannot truncate checkpoint", "id", id, "err", err)
+			if j.ckpt, err = store.OpenLog(m.ckptPath(id), load.goodBytes); err != nil {
+				m.cfg.Logger.Warn("jobs: cannot reopen checkpoint", "id", id, "err", err)
 				continue
 			}
 			resume = append(resume, j)
@@ -213,13 +220,47 @@ func (m *Manager) loadAll() error {
 	return nil
 }
 
-// truncateFile cuts path to size; a missing file at size zero is fine.
-func truncateFile(path string, size int64) error {
-	err := os.Truncate(path, size)
-	if os.IsNotExist(err) && size == 0 {
-		return nil
-	}
-	return err
+// checkpoint is a job's checkpoint log read back.
+type checkpoint struct {
+	// points maps grid index to the checkpointed result, last write wins
+	// (duplicates cannot disagree — cells are deterministic — but the
+	// map also dedups a line replayed across a crashed append).
+	points map[int]experiments.PointJSON
+	// order lists cell indices in log order (the replayable event log).
+	order []int
+	// goodBytes is the offset of the end of the last verified line;
+	// appends resume there.
+	goodBytes int64
+	// dropped counts the discarded tail (diagnostics).
+	dropped int
+}
+
+// loadCheckpoint reads a job's checkpoint log: one store record per
+// cell, keyed by grid index. Beyond the log's own checksum, a record
+// must name a cell inside the grid and carry a payload that decodes as
+// one; the first that does not ends the verified prefix, and the cells
+// past it simply re-solve. A missing file is an empty log.
+func loadCheckpoint(path string, totalCells int) (checkpoint, error) {
+	ck := checkpoint{points: make(map[int]experiments.PointJSON)}
+	var err error
+	_, ck.goodBytes, ck.dropped, err = store.Read(path, func(r store.Record) bool {
+		var pt experiments.PointJSON
+		if r.T < 0 || r.T >= int64(totalCells) || json.Unmarshal(r.D, &pt) != nil {
+			return false
+		}
+		if _, dup := ck.points[int(r.T)]; !dup {
+			ck.order = append(ck.order, int(r.T))
+		}
+		ck.points[int(r.T)] = pt
+		return true
+	})
+	return ck, err
+}
+
+// artifactID content-addresses an artifact.
+func artifactID(data []byte) string {
+	sum := sha256.Sum256(data)
+	return hex.EncodeToString(sum[:])
 }
 
 // readJSONFile decodes one JSON file into v.
@@ -305,15 +346,18 @@ func (m *Manager) Submit(spec Spec, defaultTable string) (Status, error) {
 	m.mu.Unlock()
 
 	if m.cfg.Dir != "" {
-		if err := os.MkdirAll(m.jobDir(id), 0o755); err != nil {
-			m.dropJob(id)
-			cancel()
-			return Status{}, fmt.Errorf("jobs: creating job dir: %w", err)
+		err := os.MkdirAll(m.jobDir(id), 0o755)
+		if err == nil {
+			j.ckpt, err = store.OpenLog(m.ckptPath(id), 0)
 		}
-		if err := m.persistMeta(meta); err != nil {
+		if err == nil {
+			err = m.persistMeta(meta)
+		}
+		if err != nil {
+			j.ckpt.Close()
 			m.dropJob(id)
 			cancel()
-			return Status{}, err
+			return Status{}, fmt.Errorf("jobs: persisting job: %w", err)
 		}
 	}
 	mSubmitted.Inc()
@@ -340,7 +384,7 @@ func (m *Manager) persistMeta(meta Meta) error {
 	if err != nil {
 		return fmt.Errorf("jobs: encoding meta: %w", err)
 	}
-	return writeFileAtomic(m.metaPath(meta.ID), append(data, '\n'))
+	return store.WriteFileAtomic(m.metaPath(meta.ID), append(data, '\n'))
 }
 
 // run executes a job to a terminal state (or to manager shutdown, which
@@ -348,6 +392,11 @@ func (m *Manager) persistMeta(meta Meta) error {
 // jobs re-plan from their pinned base table.
 func (m *Manager) run(ctx context.Context, j *job, plan *experiments.SweepPlan) {
 	defer m.wg.Done()
+	defer func() {
+		if err := j.ckpt.Close(); err != nil {
+			m.cfg.Logger.Warn("jobs: closing checkpoint", "id", j.meta.ID, "err", err)
+		}
+	}()
 
 	j.mu.Lock()
 	j.meta.State = StateRunning
@@ -385,18 +434,6 @@ func (m *Manager) run(ctx context.Context, j *job, plan *experiments.SweepPlan) 
 		}
 	}
 
-	// Open the checkpoint log for appends while cells run.
-	var ckpt *os.File
-	if m.cfg.Dir != "" {
-		f, err := os.OpenFile(m.ckptPath(meta.ID), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			m.fail(j, fmt.Errorf("jobs: opening checkpoint: %w", err))
-			return
-		}
-		ckpt = f
-		defer ckpt.Close()
-	}
-
 	j.mu.Lock()
 	remaining := make([]int, 0, meta.TotalCells-done)
 	for i := 0; i < meta.TotalCells; i++ {
@@ -414,7 +451,7 @@ func (m *Manager) run(ctx context.Context, j *job, plan *experiments.SweepPlan) 
 			if err != nil {
 				return struct{}{}, err
 			}
-			m.recordCell(j, ckpt, idx, pt.Wire())
+			m.recordCell(j, idx, pt.Wire())
 			return struct{}{}, nil
 		}
 	}
@@ -467,7 +504,7 @@ func (m *Manager) run(ctx context.Context, j *job, plan *experiments.SweepPlan) 
 	}
 	id := artifactID(data)
 	if m.cfg.Dir != "" {
-		if err := writeFileAtomic(m.artifactPath(id), data); err != nil {
+		if err := store.WriteFileAtomic(m.artifactPath(id), data); err != nil {
 			m.fail(j, err)
 			return
 		}
@@ -481,17 +518,17 @@ func (m *Manager) run(ctx context.Context, j *job, plan *experiments.SweepPlan) 
 
 // recordCell checkpoints one completed cell and fans its event out to
 // subscribers.
-func (m *Manager) recordCell(j *job, ckpt *os.File, idx int, pt experiments.PointJSON) {
+func (m *Manager) recordCell(j *job, idx int, pt experiments.PointJSON) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if _, dup := j.points[idx]; dup {
 		return
 	}
 	j.points[idx] = pt
-	if ckpt != nil {
-		line, err := encodeCheckpointLine(idx, pt)
+	if j.ckpt != nil {
+		raw, err := json.Marshal(pt)
 		if err == nil {
-			_, err = ckpt.Write(line)
+			err = j.ckpt.Append(int64(idx), raw)
 		}
 		if err != nil {
 			// The cell result is still held in memory; losing the

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/store"
 	"repro/internal/telemetry"
 )
 
@@ -41,7 +42,7 @@ type TraceSummary struct {
 // kill -9. Safe for concurrent use. An empty dir is memory-only.
 type TraceStore struct {
 	mu  sync.RWMutex
-	log *segLog
+	log *store.Ring
 	// ring holds the most recent maxEntries traces, oldest first.
 	ring       []*StoredTrace
 	byID       map[string]*StoredTrace
@@ -64,7 +65,7 @@ func OpenTraceStore(dir string, maxEntries int) (*TraceStore, error) {
 	if maxLines < 32 {
 		maxLines = 32
 	}
-	log, recs, dropped, err := openSegLog(dir, "trace", maxLines, maxEntries/maxLines+2)
+	log, recs, dropped, err := store.OpenRing(dir, "trace", maxLines, maxEntries/maxLines+2)
 	if err != nil {
 		return nil, err
 	}
@@ -72,7 +73,7 @@ func OpenTraceStore(dir string, maxEntries int) (*TraceStore, error) {
 	ts.Dropped = dropped
 	for _, rec := range recs {
 		var st StoredTrace
-		if json.Unmarshal(rec.Data, &st) != nil || st.ID == "" || st.Trace == nil {
+		if json.Unmarshal(rec.D, &st) != nil || st.ID == "" || st.Trace == nil {
 			ts.Dropped++
 			continue
 		}
@@ -111,7 +112,7 @@ func (ts *TraceStore) Put(st *StoredTrace) error {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
 	ts.insert(st)
-	return ts.log.append(st.UnixMs, data)
+	return ts.log.Append(st.UnixMs, data)
 }
 
 // Get returns a stored trace by ID, or nil.
@@ -164,5 +165,5 @@ func (ts *TraceStore) Query(endpoint string, minMs float64, since int64, limit i
 func (ts *TraceStore) Close() {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
-	ts.log.close()
+	ts.log.Close()
 }

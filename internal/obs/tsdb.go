@@ -1,3 +1,24 @@
+// Package obs is wcetd's forensic layer: it gives the live telemetry in
+// internal/telemetry a memory. Four pieces:
+//
+//   - TSDB: an on-disk metrics time-series store. Every sampling tick the
+//     server appends its full registry snapshot; tiered downsampling
+//     (raw → 10s → 1m) and bounded retention keep both disk and memory
+//     flat while holding enough history for multi-day SLO windows.
+//   - Engine: a declarative SLO engine evaluating multi-window burn rates
+//     (fast 5m/1h, slow 6h/3d) against the TSDB and surfacing alerts.
+//   - TraceStore: a bounded on-disk ring of finished request traces
+//     (client-requested, slow and error requests via tail-sampling),
+//     searchable by endpoint/duration/time and retrievable by ID.
+//   - Profiler: continuous CPU/heap pprof capture into a ring directory,
+//     on a timer and immediately when an SLO starts burning — so the
+//     profile from the incident exists without an operator attached.
+//
+// The TSDB tiers and the trace store persist through internal/store's
+// checksummed segment ring, the same line log that holds campaign-job
+// checkpoints, so everything survives kill -9: segments are read back on
+// startup and cut to their last verifiable line. This package only
+// decodes the payloads.
 package obs
 
 import (
@@ -9,6 +30,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/store"
 )
 
 // TierSpec sizes one resolution tier of the metrics store.
@@ -42,7 +65,7 @@ func DefaultTiers() []TierSpec {
 // map-per-sample layout would cost.
 type tier struct {
 	spec  TierSpec
-	log   *segLog
+	log   *store.Ring
 	times []int64              // unix milliseconds, ascending
 	cols  map[string][]float64 // len(col) == len(times); NaN = absent
 	lastT int64
@@ -95,7 +118,7 @@ type TSDB struct {
 	mu    sync.RWMutex
 	tiers []*tier
 	dir   string
-	// Dropped counts unverifiable checkpoint lines discarded at startup
+	// Dropped counts unverifiable lines discarded at startup
 	// (torn appends, tampering) — exposed for the startup log line.
 	Dropped int
 }
@@ -120,7 +143,7 @@ func OpenTSDB(dir string, specs []TierSpec) (*TSDB, error) {
 			if maxLines < 64 {
 				maxLines = 64
 			}
-			log, recs, dropped, err := openSegLog(filepath.Join(dir, spec.Name), "seg", maxLines, spec.Retain/maxLines+2)
+			log, recs, dropped, err := store.OpenRing(filepath.Join(dir, spec.Name), "seg", maxLines, spec.Retain/maxLines+2)
 			if err != nil {
 				return nil, err
 			}
@@ -128,7 +151,7 @@ func OpenTSDB(dir string, specs []TierSpec) (*TSDB, error) {
 			db.Dropped += dropped
 			for _, rec := range recs {
 				var sample tsdbSample
-				if json.Unmarshal(rec.Data, &sample) != nil {
+				if json.Unmarshal(rec.D, &sample) != nil {
 					db.Dropped++
 					continue
 				}
@@ -176,7 +199,7 @@ func (db *TSDB) Append(t int64, snapshot map[string]float64) error {
 			}
 		}
 		if tr.log != nil {
-			if aerr := tr.log.append(t, data); aerr != nil && err == nil {
+			if aerr := tr.log.Append(t, data); aerr != nil && err == nil {
 				err = aerr
 			}
 		}
@@ -365,6 +388,6 @@ func (db *TSDB) Close() {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	for _, tr := range db.tiers {
-		tr.log.close()
+		tr.log.Close()
 	}
 }

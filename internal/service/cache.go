@@ -59,7 +59,6 @@ type cacheShard struct {
 	hand  int
 
 	hits       *telemetry.Counter
-	misses     *telemetry.Counter
 	evictions  *telemetry.Counter
 	contention *telemetry.Counter
 }
@@ -74,17 +73,16 @@ type clockEntry struct {
 }
 
 // newResultCache builds a cache reporting into the given counters; nil
-// counters (standalone/test use) are replaced with private ones. A
-// capacity <= 0 disables the cache entirely: every put is a no-op and
-// every lookup misses, rather than the historical behaviour of inserting
-// and then immediately self-evicting (with a bogus eviction count) on
-// each put.
-func newResultCache(capacity int, hits, misses, evictions *telemetry.Counter, contention *telemetry.CounterVec) *resultCache {
+// counters (standalone/test use) are replaced with private ones. The
+// cache counts no misses: whether an absent key becomes a miss is the
+// server's call (admission may reject the request), so the server counts
+// them. A capacity <= 0 disables the cache entirely: every put is a no-op
+// and every lookup misses, rather than the historical behaviour of
+// inserting and then immediately self-evicting (with a bogus eviction
+// count) on each put.
+func newResultCache(capacity int, hits, evictions *telemetry.Counter, contention *telemetry.CounterVec) *resultCache {
 	if hits == nil {
 		hits = &telemetry.Counter{}
-	}
-	if misses == nil {
-		misses = &telemetry.Counter{}
 	}
 	if evictions == nil {
 		evictions = &telemetry.Counter{}
@@ -114,7 +112,6 @@ func newResultCache(capacity int, hits, misses, evictions *telemetry.Counter, co
 		}
 		sh.items = make(map[string]*clockEntry, sh.cap)
 		sh.hits = hits
-		sh.misses = misses
 		sh.evictions = evictions
 		sh.contention = contention.With(strconv.Itoa(i))
 	}
@@ -148,54 +145,19 @@ func (sh *cacheShard) lock() {
 	sh.mu.Lock()
 }
 
-// get returns the cached result for key, marking its reference bit. The
-// miss counter is the caller-visible one: singleflight followers that
-// piggyback on an in-flight computation are counted by the server, not
-// here.
+// get returns the cached result for key, marking its reference bit and
+// counting the hit. A lookup that misses mutates nothing — recency order
+// is untouched whether or not the request is subsequently admitted.
 func (c *resultCache) get(key string) (*cached, bool) {
 	sh := c.shard(key)
 	sh.lock()
 	defer sh.mu.Unlock()
 	e, ok := sh.items[key]
 	if !ok {
-		sh.misses.Inc()
 		return nil, false
 	}
 	e.ref = true
 	sh.hits.Inc()
-	return e.val, true
-}
-
-// getHit is get counting only hits: the pre-admission probe of the
-// single-estimate endpoint, where an absent entry may never be evaluated
-// (admission can still reject the request), so no miss is recorded. A
-// probe that misses mutates nothing — recency order is untouched whether
-// or not the request is subsequently admitted.
-func (c *resultCache) getHit(key string) (*cached, bool) {
-	sh := c.shard(key)
-	sh.lock()
-	defer sh.mu.Unlock()
-	e, ok := sh.items[key]
-	if !ok {
-		return nil, false
-	}
-	e.ref = true
-	sh.hits.Inc()
-	return e.val, true
-}
-
-// peek is get without counter accounting (the reference bit still sets):
-// the post-admission re-check of a request whose miss was already
-// counted.
-func (c *resultCache) peek(key string) (*cached, bool) {
-	sh := c.shard(key)
-	sh.lock()
-	defer sh.mu.Unlock()
-	e, ok := sh.items[key]
-	if !ok {
-		return nil, false
-	}
-	e.ref = true
 	return e.val, true
 }
 

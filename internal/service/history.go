@@ -128,11 +128,7 @@ func (s *Server) sampleLoop() {
 
 func (s *Server) sampleOnce() {
 	now := time.Now().UnixMilli()
-	merged := s.metrics.reg.Snapshot()
-	for k, v := range telemetry.Default().Snapshot() {
-		merged[k] = v
-	}
-	if err := s.history.Append(now, merged); err != nil {
+	if err := s.history.Append(now, s.metricsSnapshot()); err != nil {
 		s.logger.Warn("metrics history append failed", "err", err)
 	}
 	s.sloEngine.Evaluate(now)

@@ -266,15 +266,22 @@ type streamSnapshot struct {
 	Metrics map[string]float64 `json:"metrics"`
 }
 
-func (s *Server) snapshotStream() streamSnapshot {
+// metricsSnapshot flattens this server's registry and the process-wide
+// one into one map (see telemetry.Registry.Snapshot): the one view the
+// history sampler records and the SSE stream sends.
+func (s *Server) metricsSnapshot() map[string]float64 {
 	merged := s.metrics.reg.Snapshot()
 	for k, v := range telemetry.Default().Snapshot() {
 		merged[k] = v
 	}
+	return merged
+}
+
+func (s *Server) snapshotStream() streamSnapshot {
 	return streamSnapshot{
 		UnixMs:  time.Now().UnixMilli(),
 		Stats:   s.StatsSnapshot(),
-		Metrics: merged,
+		Metrics: s.metricsSnapshot(),
 	}
 }
 

@@ -337,7 +337,7 @@ func New(cfg Config, engine *campaign.Engine) *Server {
 	s := &Server{
 		cfg:         cfg,
 		engine:      engine,
-		cache:       newResultCache(cfg.CacheEntries, metrics.cacheHits, metrics.cacheMisses, metrics.cacheEvictions, metrics.cacheContention),
+		cache:       newResultCache(cfg.CacheEntries, metrics.cacheHits, metrics.cacheEvictions, metrics.cacheContention),
 		analyzer:    analyzer,
 		store:       store,
 		sem:         make(chan struct{}, cfg.MaxInFlight),
@@ -533,7 +533,7 @@ func (s *Server) admit(ctx context.Context) (release func(), err error) {
 // a join wait: an evaluation, once started, runs to completion so its
 // result can be cached for the next asker.
 func (s *Server) lookupOrCompute(ctx context.Context, key string, compute func(context.Context) (*cached, error)) (*cached, error) {
-	if v, ok := s.cache.getHit(key); ok {
+	if v, ok := s.cache.get(key); ok {
 		return v, nil
 	}
 	s.flightMu.Lock()
@@ -552,7 +552,7 @@ func (s *Server) lookupOrCompute(ctx context.Context, key string, compute func(c
 	// Re-check under flightMu: an evaluation stores its result before it
 	// deregisters its flight, so a key with no flight here is either
 	// cached or not being evaluated — it is never evaluated twice.
-	if v, ok := s.cache.getHit(key); ok {
+	if v, ok := s.cache.get(key); ok {
 		s.flightMu.Unlock()
 		return v, nil
 	}
@@ -696,7 +696,7 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key string,
 	// probe counts only hits — if admission rejects this request below,
 	// no evaluation was scheduled and the miss counter must not move.
 	_, cspan := telemetry.StartSpan(r.Context(), "cache")
-	c, hit := s.cache.getHit(key)
+	c, hit := s.cache.get(key)
 	cspan.SetAttr("hit", hit)
 	cspan.End()
 	if hit {

@@ -13,11 +13,11 @@
 //	<dir>/tables/<id>.json
 //	<dir>/refs/<name>
 //
-// Ref updates are write-to-temp + rename, so a crash never leaves a ref
-// half-written. Every table is validated on Put and again on load, and a
-// loaded table whose content does not hash to its filename is rejected —
-// the store never serves a characterisation that silently changed on
-// disk.
+// Tables and refs are written with store.WriteFileAtomic (synced temp
+// file + rename), so a crash never leaves either half-written. Every
+// table is validated on Put and again on load, and a loaded table whose
+// content does not hash to its filename is rejected — the store never
+// serves a characterisation that silently changed on disk.
 package tabstore
 
 import (
@@ -33,6 +33,7 @@ import (
 	"sync"
 
 	"repro/internal/platform"
+	"repro/internal/store"
 	"repro/internal/telemetry"
 )
 
@@ -286,7 +287,7 @@ func (s *Store) Put(lt platform.LatencyTable) (ID, error) {
 			return "", fmt.Errorf("tabstore: %w", err)
 		}
 		raw = append(raw, '\n')
-		if err := writeFileAtomic(filepath.Join(s.tablesDir(), string(id)+".json"), raw); err != nil {
+		if err := store.WriteFileAtomic(filepath.Join(s.tablesDir(), string(id)+".json"), raw); err != nil {
 			return "", err
 		}
 	}
@@ -319,7 +320,7 @@ func (s *Store) SetRef(name string, id ID) error {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			return fmt.Errorf("tabstore: %w", err)
 		}
-		if err := writeFileAtomic(path, []byte(id+"\n")); err != nil {
+		if err := store.WriteFileAtomic(path, []byte(id+"\n")); err != nil {
 			return err
 		}
 	}
@@ -398,25 +399,4 @@ func (s *Store) refNamesLocked() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// writeFileAtomic writes via a temp file + rename so readers (and crash
-// recovery) never observe a partial write.
-func writeFileAtomic(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
-	if err != nil {
-		return fmt.Errorf("tabstore: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("tabstore: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("tabstore: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("tabstore: %w", err)
-	}
-	return nil
 }

@@ -210,11 +210,15 @@ if ! echo "$metrics" | grep -q '^wcetd_cache_shard_contention_total{shard="0"}';
 fi
 
 echo "serve-smoke: dashboard + stats stream"
-curl -fsS "http://$ADDR/v2/dashboard" | grep -q '/v2/stats/stream'
+# Pipes from curl or head end in a grep that reads all its input (no -q):
+# a grep that exits at its first match closes the pipe under a writer
+# still sending, and pipefail turns that writer's SIGPIPE (141) or
+# curl's write error (23) into a spurious failure.
+curl -fsS "http://$ADDR/v2/dashboard" | grep '/v2/stats/stream' >/dev/null
 # The stream never ends on its own; cap it with -m and swallow curl's
 # timeout exit — the assertion is that an SSE stats event arrived.
 (curl -fsS -m 3 -N "http://$ADDR/v2/stats/stream?interval=100" 2>/dev/null || true) \
-  | head -3 | grep -q '^event: stats'
+  | head -3 | grep '^event: stats' >/dev/null
 
 echo "serve-smoke: graceful shutdown"
 kill -TERM "$PID"
@@ -407,7 +411,7 @@ stored=$(curl -fsS "http://$ADDR/v2/traces/$TRACE_ID")
 echo "$stored" | grep -q '"sampled": "header"'
 echo "$stored" | grep -q '"endpoint": "v1_wcet"'
 # ...and the search endpoint lists it.
-curl -fsS "http://$ADDR/v2/traces?endpoint=v1_wcet" | grep -q "\"id\": \"$TRACE_ID\""
+curl -fsS "http://$ADDR/v2/traces?endpoint=v1_wcet" | grep "\"id\": \"$TRACE_ID\"" >/dev/null
 
 echo "serve-smoke: metrics history fills"
 points=0
@@ -425,7 +429,7 @@ if [ "$points" -lt 2 ]; then
   exit 1
 fi
 # The history listing names the request counter family.
-curl -fsS "http://$ADDR/v2/metrics/history" | grep -q '"wcetd_requests_total'
+curl -fsS "http://$ADDR/v2/metrics/history" | grep '"wcetd_requests_total' >/dev/null
 
 echo "serve-smoke: induced SLO burn fires"
 fired=""
