@@ -5,7 +5,7 @@ GO ?= go
 STATICCHECK ?= staticcheck
 GOVULNCHECK ?= govulncheck
 
-.PHONY: all build test race bench bench-gate profile fmt lint vuln serve-smoke
+.PHONY: all build test race bench bench-ab profile fmt lint vuln serve-smoke
 
 all: build lint test
 
@@ -21,12 +21,12 @@ race:
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
-# bench-gate = run the cold-solve benchmarks (repeated samples), aggregate
-# into bench.json, and fail on p50/allocs regression against the last
-# committed BENCH_<pr>.json trajectory point. Tune with BENCH_GATE_* (see
-# scripts/bench_gate.sh and docs/BENCHMARKING.md).
-bench-gate:
-	bash scripts/bench_gate.sh
+# bench-ab = same-machine A/B of the repository benchmark (BENCHMARK.json):
+# every workload on BASE and on the working tree, interleaved, judged by
+# scripts/benchab (see docs/BENCHMARKING.md). BASE=<rev> is required.
+bench-ab:
+	@if [ -z "$(BASE)" ]; then echo "usage: make bench-ab BASE=<rev>" >&2; exit 2; fi
+	bash scripts/bench_ab.sh $(BASE)
 
 # profile = CPU + mutex profiles of the two hot paths this repo optimises:
 # the Scenario 2 branch & bound solve (BenchmarkTable5Tailoring/scenario2)

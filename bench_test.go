@@ -90,16 +90,23 @@ func benchReadings(scale int64) (a, c dsu.Readings) {
 	return a, c
 }
 
+// table5Input is the Table 5 model input for one scenario: benchReadings
+// at scale 100, plus cacheable-data misses where the scenario floors them.
+func table5Input(sc core.Scenario) core.Input {
+	a, c := benchReadings(100)
+	if sc.CacheableDataFloor {
+		a.DMC, c.DMC = 500, 300
+	}
+	return core.Input{A: a, B: []dsu.Readings{c}, Lat: &benchLat, Scenario: sc}
+}
+
 // BenchmarkTable5Tailoring regenerates Table 5: constructing and solving
-// the tailored ILP-PTAC model for both scenarios.
+// the tailored ILP-PTAC model for both scenarios. TestTable5Bounds pins
+// the bound_cycles it reports.
 func BenchmarkTable5Tailoring(b *testing.B) {
 	for _, sc := range []core.Scenario{core.Scenario1(), core.Scenario2()} {
 		b.Run(sc.Name, func(b *testing.B) {
-			a, c := benchReadings(100)
-			if sc.CacheableDataFloor {
-				a.DMC, c.DMC = 500, 300
-			}
-			in := core.Input{A: a, B: []dsu.Readings{c}, Lat: &benchLat, Scenario: sc}
+			in := table5Input(sc)
 			var est core.Estimate
 			for i := 0; i < b.N; i++ {
 				var err error
@@ -109,16 +116,13 @@ func BenchmarkTable5Tailoring(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(est.ContentionCycles), "bound_cycles")
-			// Node count is the cost driver behind the ns/op above: the
-			// BENCH_<pr>.json trajectory tracks it so a solver regression
-			// that doubles the tree stays visible even when wall time hides
-			// inside machine noise.
+			// Node count is the cost driver behind the ns/op above, and
+			// unlike ns/op it is exact: a solver change that doubles the
+			// tree shows here on any machine.
 			b.ReportMetric(float64(est.Nodes), "nodes")
 			// Warm-start effectiveness: the fraction of B&B nodes whose LP
-			// re-solve reused the parent basis. Rate metrics (suffix
-			// "_rate") gate higher-is-better in scripts/benchgate, so a
-			// change that silently falls back to cold solves fails CI even
-			// if wall time hides in noise.
+			// re-solve reused the parent basis. A fall means relaxations
+			// silently went back to cold solves.
 			b.ReportMetric(float64(est.WarmStarts)/float64(max(est.Nodes, 1)), "warm_start_rate")
 		})
 	}
@@ -566,7 +570,7 @@ func BenchmarkCacheHitParallel(b *testing.B) {
 func BenchmarkCampaignJob(b *testing.B) {
 	// Job lifecycle logs would interleave with the benchmark result line
 	// in `go test` output (which merges the binary's stderr) and break
-	// benchstat/benchgate parsing — discard them.
+	// benchstat parsing — discard them.
 	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
 	srv := service.New(service.Config{MaxInFlight: 256, QueueDepth: 1024, MaxJobs: 1 << 20, Logger: quiet}, nil)
 	ts := httptest.NewServer(srv.Handler())

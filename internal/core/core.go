@@ -92,9 +92,9 @@ type Estimate struct {
 	// per-target request mapping it found, keyed by variable name.
 	Decomposition map[string]int64
 	// Nodes, when the model solves an ILP, is the number of branch &
-	// bound nodes the solve explored — the cost driver behind every
-	// BENCH_<pr>.json trajectory point, surfaced so benchmarks and
-	// regression gates can track search effort alongside wall time.
+	// bound nodes the solve explored: the solve's cost driver, and an
+	// exact count, so traces and benchmarks can report search effort that
+	// machine noise cannot hide.
 	Nodes int
 	// WarmStarts, when the model solves an ILP, is how many of those
 	// node relaxations resumed from a previous simplex basis instead of

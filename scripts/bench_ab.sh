@@ -1,0 +1,69 @@
+#!/usr/bin/env bash
+# bench_ab.sh — same-machine A/B of the repository benchmark (BENCHMARK.json):
+#
+#   bash scripts/bench_ab.sh <base-rev>
+#
+# Checks <base-rev> out as a detached git worktree in a temporary
+# directory and compares it with the working tree as it is, uncommitted
+# edits included. For seeds 1-3 and each workload it runs
+# `perfbench/run.sh --trace 0` in both trees, base first in odd pairs and
+# head first in even ones, for BENCHMARK.json's run_seconds. One traced
+# figure4 run per side follows. Every result line lands in bench-ab.jsonl,
+# tagged with side, workload, seed and trace, and scripts/benchab judges
+# the file (docs/BENCHMARKING.md gives the decision rule).
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+if [ $# -ne 1 ]; then
+  echo "usage: bash scripts/bench_ab.sh <base-rev>" >&2
+  exit 2
+fi
+base_rev="$(git rev-parse --verify "$1^{commit}")"
+head_dir="$(pwd)"
+out="$head_dir/bench-ab.jsonl"
+secs="$(sed -n 's/.*"run_seconds": *\([0-9][0-9]*\).*/\1/p' BENCHMARK.json)"
+workloads=(figure4 serve campaign)
+
+tmp="$(mktemp -d)"
+cleanup() {
+  git -C "$head_dir" worktree remove --force "$tmp/base" 2>/dev/null || true
+  chmod -R u+w "$tmp" 2>/dev/null || true
+  rm -rf "$tmp"
+  git -C "$head_dir" worktree prune
+}
+trap cleanup EXIT
+git worktree add --detach --quiet "$tmp/base" "$base_rev"
+: >"$out"
+
+# run <side> <workload> <seed> <trace> appends one tagged result line.
+run() {
+  local dir="$head_dir" line
+  [ "$1" = base ] && dir="$tmp/base"
+  echo "bench_ab: $1 $2 seed $3 trace $4" >&2
+  line="$(cd "$dir" && bash perfbench/run.sh --workload "$2" --seed "$3" --seconds "$secs" --trace "$4" | tail -n 1)" || true
+  case "$line" in
+  '{'*) printf '{"side":"%s","workload":"%s","seed":%d,"trace":%d,"result":%s}\n' "$1" "$2" "$3" "$4" "$line" >>"$out" ;;
+  *)
+    echo "bench_ab: $1 $2 seed $3 printed no result line" >&2
+    exit 1
+    ;;
+  esac
+}
+
+pair=0
+for seed in 1 2 3; do
+  for wl in "${workloads[@]}"; do
+    pair=$((pair + 1))
+    if [ $((pair % 2)) -eq 1 ]; then
+      run base "$wl" "$seed" 0
+      run head "$wl" "$seed" 0
+    else
+      run head "$wl" "$seed" 0
+      run base "$wl" "$seed" 0
+    fi
+  done
+done
+run base figure4 1 1
+run head figure4 1 1
+
+go run ./scripts/benchab BENCHMARK.json "$out"
