@@ -413,8 +413,8 @@ func BenchmarkEvaluationCampaign(b *testing.B) {
 // benchServeConfig turns on the observability costs a production daemon
 // pays — persisted metrics history on a fast cadence and a slow-request
 // threshold low enough that tail sampling stores a trace for essentially
-// every request — so the serving benchmarks gate the instrumented path,
-// not an idealized one. The logger is leveled above Warn: with a
+// every request — so the serving benchmarks measure the instrumented
+// path, not an idealized one. The logger is leveled above Warn: with a
 // microsecond threshold every request is "slow", and formatting a
 // slow-request warning per request would measure the logger, not the
 // server.
@@ -564,8 +564,8 @@ func BenchmarkCacheHitParallel(b *testing.B) {
 // — admission, background scheduling, per-cell checkpoint encode, event
 // fan-out, SSE delivery and artifact verification all inside the timed
 // region — so a regression anywhere in the jobs pipeline (or a priority
-// inversion that stalls the interleaved interactive request) moves the
-// gated p50. cells/s reports sweep throughput; cache_hit_rate gates the
+// inversion that stalls the interleaved interactive request) moves
+// ns/op. cells/s reports sweep throughput; cache_hit_rate covers the
 // interactive hits served mid-job.
 func BenchmarkCampaignJob(b *testing.B) {
 	// Job lifecycle logs would interleave with the benchmark result line
