@@ -151,7 +151,13 @@ func BenchmarkTable6Counters(b *testing.B) {
 
 // BenchmarkFigure4 regenerates Figure 4 cell by cell: observed slowdown and
 // both model predictions, normalised to isolation, per scenario and
-// contender load.
+// contender load. Each timed iteration runs a fresh campaign engine, so
+// trace generation and both simulations are paid every time, but the
+// up-front Figure4 call warms the process-wide analyzer's estimate cache:
+// every timed solve is a cache hit. ns/op therefore omits the ILP, which
+// dominates a cold scenario-2 cell (ilp_nodes, the cell's branch & bound
+// node count, shows how much); perfbench's figure4 workload times the
+// cold path.
 func BenchmarkFigure4(b *testing.B) {
 	rows, err := experiments.NewRunner(campaign.New(0)).Figure4(context.Background(), benchLat)
 	if err != nil {
@@ -160,6 +166,7 @@ func BenchmarkFigure4(b *testing.B) {
 	for _, row := range rows {
 		row := row
 		b.Run(fmt.Sprintf("scenario%d/%s", row.Scenario, row.Level), func(b *testing.B) {
+			b.ReportAllocs()
 			var g experiments.Figure4Row
 			for i := 0; i < b.N; i++ {
 				g, err = experiments.NewRunner(campaign.New(0)).Figure4Cell(context.Background(), benchLat, row.Scenario, row.Level)
@@ -170,6 +177,7 @@ func BenchmarkFigure4(b *testing.B) {
 			b.ReportMetric(g.ObservedRatio(), "observed_x")
 			b.ReportMetric(g.ILP.Ratio(), "ilp_x")
 			b.ReportMetric(g.FTC.Ratio(), "ftc_x")
+			b.ReportMetric(float64(g.ILP.Nodes), "ilp_nodes")
 		})
 	}
 }

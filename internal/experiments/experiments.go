@@ -326,9 +326,10 @@ func (r Runner) contenderReadings(ctx context.Context, lat platform.LatencyTable
 
 // sizeContender returns both the contender's isolation readings and a
 // fresh source replaying exactly the measured trace, for cells that go on
-// to co-schedule it (Figure 4). The generators are deterministic, so the
-// rebuilt source is identical to the one the (possibly cached) isolation
-// measurement executed.
+// to co-schedule it (Figure 4). The rebuilt source streams the same
+// accesses as the one the (possibly cached) isolation measurement
+// executed: a generator's step is a pure function of its index and of
+// cursors that start at zero in every new source.
 func (r Runner) sizeContender(ctx context.Context, lat platform.LatencyTable, sc workload.Scenario, lv workload.Level, appR dsu.Readings) (trace.Source, dsu.Readings, error) {
 	bursts := contenderBursts(lat, lv, appR)
 	contR, err := r.contenderReadings(ctx, lat, sc, lv, bursts)

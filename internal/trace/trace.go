@@ -90,9 +90,52 @@ func (s *Slice) Reset() { s.pos = 0 }
 // Len returns the total number of accesses in the slice.
 func (s *Slice) Len() int { return len(s.accs) }
 
+// Gen is a Source that generates its stream one step at a time, holding
+// only the current step's accesses. A generator whose loop body carries
+// state between iterations (address cursors) keeps it in the step closure
+// and zeroes it in the reset hook, so each pass replays the same stream.
+type Gen struct {
+	steps int
+	step  func(i int, buf []Access) []Access
+	reset func()
+	buf   []Access
+	i     int
+	pos   int
+}
+
+// NewGen returns a Source over steps steps: step(i, buf) appends step i's
+// accesses to buf and returns it, and is called for i = 0, 1, … in order
+// after each Reset. reset, if non-nil, rewinds the state the steps carry.
+func NewGen(steps int, step func(i int, buf []Access) []Access, reset func()) *Gen {
+	return &Gen{steps: steps, step: step, reset: reset}
+}
+
+// Next implements Source.
+func (g *Gen) Next() (Access, bool) {
+	for g.pos >= len(g.buf) {
+		if g.i >= g.steps {
+			return Access{}, false
+		}
+		g.buf = g.step(g.i, g.buf[:0])
+		g.i++
+		g.pos = 0
+	}
+	a := g.buf[g.pos]
+	g.pos++
+	return a, true
+}
+
+// Reset implements Source.
+func (g *Gen) Reset() {
+	g.buf, g.i, g.pos = g.buf[:0], 0, 0
+	if g.reset != nil {
+		g.reset()
+	}
+}
+
 // Collect drains src into a slice, resetting it first and afterwards. It is
-// intended for tests and for trace inspection tools; production simulation
-// streams accesses without materialising them.
+// intended for tests and for trace inspection tools; the simulator pulls
+// accesses one at a time, so a generated source is never materialised.
 func Collect(src Source) []Access {
 	src.Reset()
 	var out []Access

@@ -48,6 +48,37 @@ func TestSliceSource(t *testing.T) {
 	}
 }
 
+func TestGenSource(t *testing.T) {
+	// Step i emits i accesses (step 0 is empty) at a cursor the steps
+	// carry; Reset must zero it so a second pass replays the first.
+	var cursor uint32
+	g := NewGen(4, func(i int, buf []Access) []Access {
+		for j := 0; j < i; j++ {
+			buf = append(buf, acc(Load, cursor))
+			cursor++
+		}
+		return buf
+	}, func() { cursor = 0 })
+	want := []Access{acc(Load, 0), acc(Load, 1), acc(Load, 2), acc(Load, 3), acc(Load, 4), acc(Load, 5)}
+	g.Next()
+	g.Next()
+	g.Next() // a partial drain that stops mid-step
+	for pass := 0; pass < 2; pass++ {
+		got := Collect(g)
+		if len(got) != len(want) {
+			t.Fatalf("pass %d: %d accesses, want %d", pass, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("pass %d: access %d = %+v, want %+v", pass, i, got[i], want[i])
+			}
+		}
+	}
+	if _, ok := NewGen(0, nil, nil).Next(); ok {
+		t.Error("a zero-step Gen yielded an access")
+	}
+}
+
 func TestCollectResets(t *testing.T) {
 	s := NewSlice([]Access{acc(Fetch, 1), acc(Load, 2)})
 	s.Next() // advance; Collect must still see everything

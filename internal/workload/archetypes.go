@@ -41,9 +41,8 @@ func EngineControl(cfg EngineControlConfig) (trace.Source, error) {
 		return nil, fmt.Errorf("workload: negative map lookups %d", cfg.MapLookups)
 	}
 
-	var accs []trace.Access
 	var lookup uint32
-	for rev := 0; rev < cfg.Revolutions; rev++ {
+	step := func(rev int, accs []trace.Access) []trace.Access {
 		// Crank interrupt: scratchpad-resident handler, a sensor read and
 		// an actuator write through the shared LMU buffer.
 		for i := 0; i < 8; i++ {
@@ -62,8 +61,9 @@ func EngineControl(cfg EngineControlConfig) (trace.Source, error) {
 			lookup++
 			accs = append(accs, trace.Access{Gap: 3, Kind: trace.Fetch, Addr: pf0Code(cfg.Core, lookup)})
 		}
+		return accs
 	}
-	return trace.NewSlice(accs), nil
+	return trace.NewGen(cfg.Revolutions, step, func() { lookup = 0 }), nil
 }
 
 // EngineControlDeployment is the deployment the archetype implies: code in
@@ -99,9 +99,8 @@ func ADASStream(cfg ADASStreamConfig) (trace.Source, error) {
 		return nil, fmt.Errorf("workload: frames (%d) and samples (%d) must be positive", cfg.Frames, cfg.SamplesPerFrame)
 	}
 
-	var accs []trace.Access
 	var coeff uint32
-	for f := 0; f < cfg.Frames; f++ {
+	step := func(f int, accs []trace.Access) []trace.Access {
 		for s := 0; s < cfg.SamplesPerFrame; s++ {
 			idx := uint32(f*cfg.SamplesPerFrame + s)
 			accs = append(accs, trace.Access{Gap: 1, Kind: trace.Load, Addr: lmuShared(idx)})
@@ -116,8 +115,9 @@ func ADASStream(cfg ADASStreamConfig) (trace.Source, error) {
 				Addr: platform.PSPRAddr(cfg.Core, (idx%64)*lineSize)})
 			accs = append(accs, trace.Access{Gap: 1, Kind: trace.Store, Addr: lmuShared(idx + 4096)})
 		}
+		return accs
 	}
-	return trace.NewSlice(accs), nil
+	return trace.NewGen(cfg.Frames, step, func() { coeff = 0 }), nil
 }
 
 // ADASStreamDeployment is the deployment the archetype implies.

@@ -115,9 +115,8 @@ func Contender(cfg ContenderConfig) (trace.Source, error) {
 		return nil, err
 	}
 
-	var accs []trace.Access
 	var codeCursor, constCursor uint32
-	for b := 0; b < cfg.Bursts; b++ {
+	step := func(b int, accs []trace.Access) []trace.Access {
 		for i := 0; i < sriN; i++ {
 			// Rotate the access pattern across bursts so that levels with
 			// short bursts still mix code and data traffic.
@@ -144,6 +143,7 @@ func Contender(cfg ContenderConfig) (trace.Source, error) {
 			accs = append(accs, trace.Access{Gap: 2, Kind: trace.Load,
 				Addr: platform.DSPRAddr(cfg.Core, (uint32(b*localN+i)*4)%8192)})
 		}
+		return accs
 	}
-	return trace.NewSlice(accs), nil
+	return trace.NewGen(cfg.Bursts, step, func() { codeCursor, constCursor = 0, 0 }), nil
 }

@@ -64,9 +64,8 @@ func Microbench(cfg MicrobenchConfig) (trace.Source, error) {
 		}
 	}
 
-	accs := make([]trace.Access, cfg.N)
-	for i := range accs {
-		accs[i] = trace.Access{Gap: cfg.Gap, Kind: kind, Addr: addr(uint32(i))}
+	step := func(i int, accs []trace.Access) []trace.Access {
+		return append(accs, trace.Access{Gap: cfg.Gap, Kind: kind, Addr: addr(uint32(i))})
 	}
-	return trace.NewSlice(accs), nil
+	return trace.NewGen(cfg.N, step, nil), nil
 }

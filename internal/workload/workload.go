@@ -9,7 +9,9 @@
 // The paper runs compiled binaries on silicon; these generators produce
 // deterministic traces with the same access-pattern *shape* — which SRI
 // targets are hit, with what operation mix and density — which is all the
-// contention models can observe through the DSU counters.
+// contention models can observe through the DSU counters. Each generator
+// is a trace.Gen: it streams one loop iteration (or burst) at a time, so a
+// trace costs the same memory at any length.
 package workload
 
 import (
@@ -119,9 +121,8 @@ func ControlLoop(cfg AppConfig) (trace.Source, error) {
 		return nil, fmt.Errorf("workload: core %d out of range", cfg.Core)
 	}
 
-	var accs []trace.Access
 	var codeCursor, constCursor, sampleCursor uint32
-	for it := 0; it < cfg.Iterations; it++ {
+	step := func(it int, accs []trace.Access) []trace.Access {
 		// Phase 1 — signal acquisition: six sensor words from the shared
 		// non-cacheable LMU buffer.
 		for i := 0; i < 6; i++ {
@@ -168,6 +169,7 @@ func ControlLoop(cfg AppConfig) (trace.Source, error) {
 		for i := 0; i < 3; i++ {
 			accs = append(accs, trace.Access{Gap: 2, Kind: trace.Store, Addr: lmuShared(uint32(it*3 + i + 4096))})
 		}
+		return accs
 	}
-	return trace.NewSlice(accs), nil
+	return trace.NewGen(cfg.Iterations, step, func() { codeCursor, constCursor, sampleCursor = 0, 0, 0 }), nil
 }
