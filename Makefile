@@ -5,7 +5,7 @@ GO ?= go
 STATICCHECK ?= staticcheck
 GOVULNCHECK ?= govulncheck
 
-.PHONY: all build test race bench bench-ab profile fmt lint vuln serve-smoke
+.PHONY: all build test race bench bench-ab loc profile fmt lint vuln serve-smoke
 
 all: build lint test
 
@@ -27,6 +27,22 @@ bench:
 bench-ab:
 	@if [ -z "$(BASE)" ]; then echo "usage: make bench-ab BASE=<rev>" >&2; exit 2; fi
 	bash scripts/bench_ab.sh $(BASE)
+
+# loc = added, removed and net lines of non-test Go between BASE and the
+# working tree, per directory and in total: the net line count a change
+# reports next to its A/B result. Untracked files count as added;
+# *_test.go and testdata/ are excluded. BASE=<rev> is required.
+LOC_PATHS = -- '*.go' ':!*_test.go' ':!*testdata/*'
+loc:
+	@if [ -z "$(BASE)" ]; then echo "usage: make loc BASE=<rev>" >&2; exit 2; fi
+	@{ git diff --numstat $(BASE) $(LOC_PATHS); \
+	  git ls-files --others --exclude-standard $(LOC_PATHS) | while read -r f; do \
+	    printf '%s\t0\t%s\n' "$$(wc -l < "$$f")" "$$f"; done; } | \
+	awk -F'\t' '{ d = $$3; sub(/\/[^\/]*$$/, "", d); if (d == $$3) d = "."; \
+	    a[d] += $$1; r[d] += $$2 } END { for (d in a) print d, a[d], r[d] }' | sort | \
+	awk 'BEGIN { printf "%-28s %7s %7s %7s\n", "dir", "added", "removed", "net" } \
+	  { printf "%-28s %7d %7d %+7d\n", $$1, $$2, $$3, $$2 - $$3; ta += $$2; td += $$3 } \
+	  END { printf "%-28s %7d %7d %+7d\n", "total", ta, td, ta - td }'
 
 # profile = CPU + mutex profiles of the two hot paths this repo optimises:
 # the Scenario 2 branch & bound solve (BenchmarkTable5Tailoring/scenario2)

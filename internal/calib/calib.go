@@ -144,20 +144,21 @@ func parsePath(s string) (platform.TargetOp, error) {
 	return platform.TargetOp{}, fmt.Errorf("calib: unknown access path %q", s)
 }
 
-// perAccess runs the Table-2 estimator on one validated sample: latency
-// is (CCNT / N) - 1 — one dispatch cycle per access is pipeline time, not
-// transaction latency — and stall is the matching stall counter over N.
-func perAccess(to platform.TargetOp, s Sample) (lat, stall int64, err error) {
-	r := s.Readings
-	lat = r.CCNT/s.Accesses - 1
+// PerAccess is the paper's Table-2 estimator on the readings of n
+// back-to-back accesses of kind op: latency is (CCNT / n) - 1 — one
+// dispatch cycle per access is pipeline time, not transaction latency —
+// and stall is the matching stall counter (PS for code, DS for data) over
+// n. Both this engine and the experiments' Table 2 regeneration use it.
+func PerAccess(op platform.Op, n int64, r dsu.Readings) (lat, stall int64, err error) {
+	lat = r.CCNT/n - 1
 	if lat < 1 {
-		return 0, 0, fmt.Errorf("calib: %d cycles over %d accesses implies a sub-cycle latency — count and readings disagree", r.CCNT, s.Accesses)
+		return 0, 0, fmt.Errorf("calib: %d cycles over %d accesses implies a sub-cycle latency — count and readings disagree", r.CCNT, n)
 	}
 	stall = r.PS
-	if to.Op == platform.Data {
+	if op == platform.Data {
 		stall = r.DS
 	}
-	return lat, stall / s.Accesses, nil
+	return lat, stall / n, nil
 }
 
 // validate rejects a sample before it can touch the aggregates.
@@ -193,7 +194,7 @@ func (e *Engine) Ingest(b Batch) error {
 		if err != nil {
 			return fmt.Errorf("calib: sample %d: %w", i, err)
 		}
-		lat, stall, err := perAccess(to, s)
+		lat, stall, err := PerAccess(to.Op, s.Accesses, s.Readings)
 		if err != nil {
 			return fmt.Errorf("calib: sample %d: %w", i, err)
 		}

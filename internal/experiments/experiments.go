@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/calib"
 	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/dsu"
@@ -98,7 +99,8 @@ type calibPath struct {
 // back-to-back SRI accesses in isolation and divide the CCNT and
 // PMEM_STALL/DMEM_STALL deltas by the access count. The dispatch cycle
 // each access spends in the pipeline before the transaction is issued is
-// subtracted from the latency figure. Each path is measured twice: with
+// subtracted from the latency figure — calib.PerAccess, the estimator
+// /v2/calibrate runs on wire samples. Each path is measured twice: with
 // the flash prefetch buffers off (worst case, lmax) and on with a
 // sequential stream (best case, lmin). The paths are independent
 // measurement cells and run in parallel on the engine.
@@ -126,14 +128,7 @@ func (r Runner) CalibrateTable2(ctx context.Context, lat platform.LatencyTable) 
 					if err != nil {
 						return 0, 0, fmt.Errorf("calibrating %s/%s: %w", tgt, op, err)
 					}
-					rd := res.Readings[AnalysedCore]
-					stall := rd.PS
-					if op == platform.Data {
-						stall = rd.DS
-					}
-					// One dispatch cycle per access is pipeline time, not
-					// transaction latency.
-					return rd.CCNT/n - 1, stall / n, nil
+					return calib.PerAccess(op, n, res.Readings[AnalysedCore])
 				}
 				lMax, cs, err := measure(false)
 				if err != nil {

@@ -9,15 +9,19 @@
 // verdicts from DSU readings — is a query stream, not a one-shot
 // computation. This package turns the models into a service for that
 // stream while guaranteeing the daemon and the CLI can never drift: both
-// decode requests with DecodeRequest, evaluate them with Evaluate, and
-// encode responses with EncodeJSON, so for the same input they emit
-// byte-identical JSON (asserted by tests).
+// decode requests with DecodeRequest, evaluate them with the same prepare
+// and evaluate steps, and encode responses with EncodeJSON, so for the
+// same input they emit byte-identical JSON (asserted by tests).
 //
-// Two API versions are served. /v1 is frozen: it always computes the fTC
-// and ILP-PTAC pair and its wire format is pinned byte-for-byte by golden
-// fixtures. /v2/analyze is generic over the wcet model registry — callers
-// select any subset of registered models by name — so a newly registered
-// ContentionModel is servable with no change to this package.
+// There is one analysis path. /v2/analyze is generic over the wcet model
+// registry: callers select any subset of registered models by name, so a
+// newly registered ContentionModel is servable with no change to this
+// package. /v1 is served as the fixed-pair view of /v2: a v1 request maps
+// field-for-field onto a v2 request with no models, which selects the
+// fTC and ILP-PTAC pair. Both versions go through one validation
+// (V2Request.Prepare), one cache-key rendering and one evaluation; the v1
+// response is the projection of the v2 result onto its two fields, and
+// that frozen wire format is pinned byte-for-byte by golden fixtures.
 package service
 
 import (
@@ -115,46 +119,23 @@ type Response struct {
 // Validate rejects malformed requests before any model runs: unknown
 // scenarios and stall modes, impossible DSU readings (negative counters,
 // stalls or miss counts exceeding CCNT), and nonsensical RTA parameters.
-// Model-name spellings are resolved against the default registry; a server
-// carrying its own registry validates against that one instead.
+// It is Prepare on the request's v2 view, against the default registry.
 func (r Request) Validate() error {
-	return r.validate(defaultAnalyzer.Registry())
+	_, err := r.asV2().prepare(defaultAnalyzer.Registry(), apiV1)
+	return err
 }
 
-// validate is Validate against a specific registry — the same one the
-// evaluation will resolve names through, so accepted spellings cannot
-// drift between admission and evaluation.
-func (r Request) validate(reg *wcet.Registry) error {
-	// Delegate to the same mappers Evaluate uses, so the accepted value
-	// sets cannot drift from what evaluation understands.
-	if _, err := scenario(r.Scenario); err != nil {
-		return err
+// asV2 is the v2 request a v1 request is the view of: the same fields and
+// no models, so Prepare selects the fixed pair.
+func (r Request) asV2() V2Request {
+	return V2Request{
+		Scenario:          r.Scenario,
+		Analysed:          r.Analysed,
+		Contenders:        r.Contenders,
+		StallMode:         r.StallMode,
+		DropContenderInfo: r.DropContenderInfo,
+		RTA:               r.RTA,
 	}
-	if _, err := stallMode(r.StallMode); err != nil {
-		return err
-	}
-	if err := r.Analysed.Validate(); err != nil {
-		return fmt.Errorf("analysed readings: %w", err)
-	}
-	for i, b := range r.Contenders {
-		if err := b.Validate(); err != nil {
-			return fmt.Errorf("contender %d readings: %w", i, err)
-		}
-	}
-	if r.RTA != nil {
-		if _, err := rtaModel(reg, r.RTA.Model); err != nil {
-			return err
-		}
-		// Full task validation (periods, deadlines) happens in rta.Analyze
-		// once the analysed WCET is known; here we only catch what cannot
-		// depend on it.
-		for i, o := range r.RTA.Others {
-			if o.WCETCycles <= 0 {
-				return fmt.Errorf("rta.others[%d] (%s): wcetCycles must be positive", i, o.Name)
-			}
-		}
-	}
-	return nil
 }
 
 // decodeStrict is the one decode policy for every payload shape the
@@ -215,60 +196,20 @@ func stallMode(s string) (wcet.StallMode, error) {
 // wire format has one field per member.
 var v1Models = [2]string{"ftc", "ilpPtac"}
 
-// rtaModel resolves the wire RTA model selector through the given SDK
-// registry (one parser for every alias, unknown names list the registered
-// set) and then pins it to the pair /v1 actually computes.
-func rtaModel(reg *wcet.Registry, s string) (string, error) {
-	canon, err := reg.Canonical(s)
-	if err != nil {
-		return "", fmt.Errorf("rta.model: %w", err)
-	}
-	if canon != "ftc" && canon != "ilpPtac" {
-		return "", fmt.Errorf("rta.model: /v1 computes only %s and %s, got %q (use /v2/analyze for other models)", v1Models[0], v1Models[1], s)
-	}
-	return canon, nil
-}
-
-// defaultAnalyzer backs the package-level Evaluate (the CLI path and every
-// default-configured server): the shared default registry, the TC27x
-// characterisation, the frozen v1 model pair.
+// defaultAnalyzer backs the CLI path (Validate, Evaluate, RunCLIV2): the
+// shared default registry, the TC27x characterisation, the frozen v1
+// model pair.
 var defaultAnalyzer = wcet.MustNewAnalyzer()
 
-// toSDKRequest maps the v1 wire request onto the SDK facade's request,
-// resolving model spellings against the registry that will evaluate it.
-func toSDKRequest(reg *wcet.Registry, req Request) (wcet.Request, error) {
-	sc, err := scenario(req.Scenario)
-	if err != nil {
-		return wcet.Request{}, err
-	}
-	mode, err := stallMode(req.StallMode)
-	if err != nil {
-		return wcet.Request{}, err
-	}
-	out := wcet.Request{
-		Analysed:          req.Analysed,
-		Contenders:        req.Contenders,
-		Scenario:          sc,
-		StallMode:         mode,
-		DropContenderInfo: req.DropContenderInfo,
-		Models:            v1Models[:],
-	}
-	if req.RTA != nil {
-		model, err := rtaModel(reg, req.RTA.Model)
-		if err != nil {
-			return wcet.Request{}, err
-		}
-		out.RTA = &wcet.RTASpec{
-			Model:  model,
-			Task:   toRTATask(req.RTA.Task),
-			Others: make([]wcet.RTATask, len(req.RTA.Others)),
-		}
-		for i, o := range req.RTA.Others {
-			out.RTA.Others[i] = toRTATask(o)
-		}
-	}
-	return out, nil
-}
+// apiVersion is the wire version a request arrived on. It tags the cache
+// key, so /v1 and /v2 never share an entry, and it picks the response
+// shape evaluate projects the SDK result onto.
+type apiVersion string
+
+const (
+	apiV1 apiVersion = "v1"
+	apiV2 apiVersion = "v2"
+)
 
 func toRTATask(t RTATask) wcet.RTATask {
 	return wcet.RTATask{
@@ -283,49 +224,58 @@ func toRTATask(t RTATask) wcet.RTATask {
 // Evaluate runs the frozen v1 pair — the fTC and ILP-PTAC models — and
 // the optional RTA step on one request, through the default SDK analyzer.
 // It is a pure function of the request: the CLI calls it once per process,
-// the daemon calls it per cache miss.
+// the daemon runs the same prepare and evaluate per cache miss.
 func Evaluate(req Request) (*Response, error) {
-	if err := req.Validate(); err != nil {
-		return nil, err
-	}
-	return evaluateWith(context.Background(), defaultAnalyzer, req, "")
-}
-
-// evaluateWith is Evaluate against a specific analyzer (a server may carry
-// its own registry) and latency-table version: a non-empty tableRef makes
-// the analyzer resolve that table from its store (the daemon passes the
-// serving table's content address; the CLI passes "" for the analyzer's
-// fixed table). Callers must have validated req — the server does so
-// pre-admission, Evaluate does so on entry — so the miss path does not
-// re-validate. ctx carries trace spans only: evaluation runs to
-// completion even if the request that started it is cancelled, because
-// singleflight followers may still be waiting on the result.
-func evaluateWith(ctx context.Context, an *wcet.Analyzer, req Request, tableRef string) (*Response, error) {
-	sdkReq, err := toSDKRequest(an.Registry(), req)
+	sdkReq, err := req.asV2().prepare(defaultAnalyzer.Registry(), apiV1)
 	if err != nil {
 		return nil, err
 	}
-	sdkReq.TableRef = tableRef
+	resp, err := evaluate(context.Background(), defaultAnalyzer, sdkReq, apiV1)
+	if err != nil {
+		return nil, err
+	}
+	return resp.(*Response), nil
+}
+
+// evaluate is the one evaluation behind every analysis front end: it runs
+// an already-prepared request through the analyzer and shapes the result
+// for the version the request arrived on. v2 lists the selected estimates
+// in request order; v1 is the projection of the fixed pair Prepare
+// selected, Estimates[0] being ftc and Estimates[1] ilpPtac. ctx carries
+// trace spans only: evaluation runs to completion even if the request
+// that started it is cancelled, because singleflight followers may still
+// be waiting on the result.
+func evaluate(ctx context.Context, an *wcet.Analyzer, sdkReq wcet.Request, v apiVersion) (any, error) {
 	res, err := an.Analyze(context.WithoutCancel(ctx), sdkReq)
 	if err != nil {
 		return nil, err
 	}
-	ftcE, ok := res.Estimate("ftc")
-	if !ok {
-		return nil, fmt.Errorf("service: analyzer returned no ftc estimate")
-	}
-	ilpE, ok := res.Estimate("ilpPtac")
-	if !ok {
-		return nil, fmt.Errorf("service: analyzer returned no ilpPtac estimate")
-	}
-	resp := &Response{FTC: toEstimateOut(ftcE), ILP: toEstimateOut(ilpE)}
+	var rtaOut *RTAOut
 	if res.RTA != nil {
-		resp.RTA = toRTAOut(res.RTA)
+		rtaOut = toRTAOut(res.RTA)
 	}
-	return resp, nil
+	if v == apiV1 {
+		return &Response{
+			FTC: toEstimateOut(res.Estimates[0].Estimate),
+			ILP: toEstimateOut(res.Estimates[1].Estimate),
+			RTA: rtaOut,
+		}, nil
+	}
+	out := &V2Response{Estimates: make([]V2Estimate, len(res.Estimates)), RTA: rtaOut}
+	for i, e := range res.Estimates {
+		out.Estimates[i] = V2Estimate{
+			Name:             e.Name,
+			Model:            e.Model,
+			IsolationCycles:  e.IsolationCycles,
+			ContentionCycles: e.ContentionCycles,
+			WCETCycles:       e.WCET(),
+			Ratio:            e.Ratio(),
+		}
+	}
+	return out, nil
 }
 
-// toRTAOut maps the SDK verdict onto the v1 wire form.
+// toRTAOut maps the SDK verdict onto its wire form.
 func toRTAOut(v *wcet.RTAVerdict) *RTAOut {
 	out := &RTAOut{
 		Model:       v.Model,

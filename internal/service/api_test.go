@@ -112,6 +112,7 @@ func TestValidationRejects(t *testing.T) {
 		"PM over CCNT":       func(r *Request) { r.Analysed.PM = r.Analysed.CCNT + 1 },
 		"bad contender":      func(r *Request) { r.Contenders[0].PM = -3 },
 		"bad rta model":      func(r *Request) { r.RTA = &RTARequest{Model: "edf"} },
+		"rta model not v1":   func(r *Request) { r.RTA = &RTARequest{Model: "templatePtac"} },
 		"rta other no wcet":  func(r *Request) { r.RTA = &RTARequest{Others: []RTATask{{Name: "x", PeriodCycles: 10}}} },
 		"rta other negative": func(r *Request) { r.RTA = &RTARequest{Others: []RTATask{{Name: "x", WCETCycles: -1}}} },
 	}
@@ -124,6 +125,14 @@ func TestValidationRejects(t *testing.T) {
 		if _, err := Evaluate(req); err == nil {
 			t.Errorf("%s: evaluated", name)
 		}
+	}
+
+	// A registered model outside the pair gets the v1-specific message
+	// pointing at /v2, not the generic v2 "not among" one.
+	req := sampleRequest(0)
+	req.RTA = &RTARequest{Model: "templatePtac"}
+	if err := req.Validate(); err == nil || !strings.Contains(err.Error(), "/v1 computes only") {
+		t.Errorf("rta.model templatePtac on v1: error %v, want the /v1 computes only message", err)
 	}
 }
 
@@ -292,7 +301,7 @@ func TestCacheSharding(t *testing.T) {
 	}
 	touched := map[*cacheShard]bool{}
 	for i := 0; i < 256; i++ {
-		key := hashKey(fmt.Sprintf("req-%d", i))
+		key := CanonicalKey(sampleRequest(i))
 		touched[c.shard(key)] = true
 		c.put(key, &cached{body: []byte(key)})
 	}
@@ -303,7 +312,7 @@ func TestCacheSharding(t *testing.T) {
 		t.Errorf("len = %d, want 256", got)
 	}
 	for i := 0; i < 256; i++ {
-		if _, ok := c.get(hashKey(fmt.Sprintf("req-%d", i))); !ok {
+		if _, ok := c.get(CanonicalKey(sampleRequest(i))); !ok {
 			t.Fatalf("key %d missing", i)
 		}
 	}

@@ -3,8 +3,8 @@ package service
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/dsu"
@@ -24,54 +24,108 @@ import (
 // adjacent numeric fields cannot alias and arbitrarily large requests
 // address a fixed-size key.
 func CanonicalKey(req Request) string {
-	return canonicalKeyReg(wcet.DefaultRegistry(), req)
+	return requestKey(wcet.DefaultRegistry(), apiV1, req.asV2())
 }
 
-// canonicalKeyReg is CanonicalKey resolving alias spellings through a
-// specific registry — the server passes its own, so custom-registry
-// aliases collapse like built-in ones.
-func canonicalKeyReg(reg *wcet.Registry, req Request) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "v1;sc=%d;mode=%s;drop=%t;a=%s", req.Scenario, canonStallMode(req.StallMode), req.DropContenderInfo, canonReadings(req.Analysed))
+// CanonicalKeyV2 content-addresses a v2 request for the server's result
+// cache. It extends the v1 canonicalization (normalized defaults,
+// contender order canonicalized) with the selected model list (order kept
+// — it is the response order), templates and PTACs. Model names — the
+// selected list and rta.model alike — are canonicalized against the
+// registry so alias spellings of the same request share an entry;
+// template and contender-PTAC order is canonicalized like the contender
+// set (every model is permutation-invariant in them).
+func CanonicalKeyV2(reg *wcet.Registry, req V2Request) string {
+	return requestKey(reg, apiV2, req)
+}
+
+// requestKey is the one cache-key rendering: the wire request, tagged
+// with the version it arrived on, rendered once and hashed once. Alias
+// spellings resolve through reg — the server passes its own, so
+// custom-registry aliases collapse like built-in ones. The v2-only part
+// (model list, templates, PTACs) is rendered only for v2; the tag keeps a
+// v1 request and its v2 view in separate entries, since their responses
+// differ in shape. It appends with strconv, not fmt: it runs before
+// every cache probe, and fmt would box each counter into an allocation.
+func requestKey(reg *wcet.Registry, v apiVersion, req V2Request) string {
+	b := make([]byte, 0, 256)
+	b = append(b, v...)
+	b = strconv.AppendInt(append(b, ";sc="...), int64(req.Scenario), 10)
+	b = append(append(b, ";mode="...), canonStallMode(req.StallMode)...)
+	b = strconv.AppendBool(append(b, ";drop="...), req.DropContenderInfo)
+	b = appendReadings(append(b, ";a="...), req.Analysed)
 
 	cs := make([]string, len(req.Contenders))
 	for i, c := range req.Contenders {
-		cs[i] = canonReadings(c)
+		cs[i] = string(appendReadings(nil, c))
 	}
 	sort.Strings(cs)
-	b.WriteString(";b=")
-	b.WriteString(strings.Join(cs, "|"))
+	b = append(append(b, ";b="...), strings.Join(cs, "|")...)
 
 	if req.RTA != nil {
-		// Collapse alias spellings (v1 validation accepts them) so "FTC"
-		// and "ftc" share an entry; unknown names keep their raw spelling
-		// — they never reach the cache, validation rejects them first.
-		model, err := reg.Canonical(req.RTA.Model)
-		if err != nil {
-			model = req.RTA.Model
-		}
 		task := req.RTA.Task
 		if task.Name == "" {
 			task.Name = "analysed"
 		}
 		// The analysed task's WCETCycles is an output, not an input:
 		// exclude it so requests differing only there still collide.
-		fmt.Fprintf(&b, ";rta=%s;t=%s", model, canonRTATask(task, false))
+		task.WCETCycles = 0
+		b = append(append(b, ";rta="...), canonModel(reg, req.RTA.Model)...)
+		b = appendRTATask(append(b, ";t="...), task)
 		// Priority ties break by declaration order, so co-resident task
 		// order is semantic — keep it.
 		for _, o := range req.RTA.Others {
-			b.WriteString(";o=")
-			b.WriteString(canonRTATask(o, true))
+			b = appendRTATask(append(b, ";o="...), o)
 		}
 	}
 
-	return hashKey(b.String())
+	if v == apiV2 {
+		models := req.Models
+		if len(models) == 0 {
+			models = v1Models[:]
+		}
+		b = append(b, ";models="...)
+		for i, m := range models {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, canonModel(reg, m)...)
+		}
+		tps := make([]string, len(req.Templates))
+		for i, tp := range req.Templates {
+			tps[i] = strconv.Quote(tp.Name) + ":" + canonWirePTAC(tp.MaxRequests)
+		}
+		sort.Strings(tps)
+		for _, tp := range tps {
+			b = append(append(b, ";tp="...), tp...)
+		}
+		if req.AnalysedPTAC != nil {
+			b = append(append(b, ";pa="...), canonWirePTAC(req.AnalysedPTAC)...)
+		}
+		pbs := make([]string, len(req.ContenderPTACs))
+		for i, p := range req.ContenderPTACs {
+			pbs[i] = canonWirePTAC(p)
+		}
+		sort.Strings(pbs)
+		for _, p := range pbs {
+			b = append(append(b, ";pb="...), p...)
+		}
+	}
+
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
 }
 
-// hashKey folds a canonical rendering into the fixed-size cache key.
-func hashKey(s string) string {
-	sum := sha256.Sum256([]byte(s))
-	return hex.EncodeToString(sum[:])
+// canonModel collapses a model spelling to its canonical name, so "FTC"
+// and "ftc" share an entry. Unknown names keep their raw spelling so the
+// key stays total — they never reach the cache, Prepare rejects them
+// first.
+func canonModel(reg *wcet.Registry, name string) string {
+	canon, err := reg.Canonical(name)
+	if err != nil {
+		return name
+	}
+	return canon
 }
 
 func canonStallMode(s string) string {
@@ -81,14 +135,28 @@ func canonStallMode(s string) string {
 	return s
 }
 
-func canonReadings(r dsu.Readings) string {
-	return fmt.Sprintf("c%d,ps%d,ds%d,pm%d,mc%d,md%d", r.CCNT, r.PS, r.DS, r.PM, r.DMC, r.DMD)
+func appendReadings(b []byte, r dsu.Readings) []byte {
+	b = strconv.AppendInt(append(b, 'c'), r.CCNT, 10)
+	b = strconv.AppendInt(append(b, ",ps"...), r.PS, 10)
+	b = strconv.AppendInt(append(b, ",ds"...), r.DS, 10)
+	b = strconv.AppendInt(append(b, ",pm"...), r.PM, 10)
+	b = strconv.AppendInt(append(b, ",mc"...), r.DMC, 10)
+	return strconv.AppendInt(append(b, ",md"...), r.DMD, 10)
 }
 
-func canonRTATask(t RTATask, withWCET bool) string {
-	w := int64(0)
-	if withWCET {
-		w = t.WCETCycles
+func appendRTATask(b []byte, t RTATask) []byte {
+	b = strconv.AppendQuote(b, t.Name)
+	b = strconv.AppendInt(append(b, ",w"...), t.WCETCycles, 10)
+	b = strconv.AppendInt(append(b, ",p"...), t.PeriodCycles, 10)
+	b = strconv.AppendInt(append(b, ",d"...), t.DeadlineCycles, 10)
+	return strconv.AppendInt(append(b, ",pr"...), int64(t.Priority), 10)
+}
+
+func canonWirePTAC(m map[string]int64) string {
+	parts := make([]string, 0, len(m))
+	for k, v := range m {
+		parts = append(parts, k+"="+strconv.FormatInt(v, 10))
 	}
-	return fmt.Sprintf("%q,w%d,p%d,d%d,pr%d", t.Name, w, t.PeriodCycles, t.DeadlineCycles, t.Priority)
+	sort.Strings(parts)
+	return strings.Join(parts, ",")
 }

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -122,9 +121,8 @@ func (s *Server) handleCampaignStream(w http.ResponseWriter, r *http.Request, id
 		httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("GET required"))
 		return
 	}
-	fl, ok := w.(http.Flusher)
+	sse, ok := newSSEWriter(w)
 	if !ok {
-		httpError(w, http.StatusInternalServerError, fmt.Errorf("streaming unsupported by this connection"))
 		return
 	}
 	afterSeq := 0
@@ -148,26 +146,15 @@ func (s *Server) handleCampaignStream(w http.ResponseWriter, r *http.Request, id
 	}
 	defer cancel()
 
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-store")
-	w.WriteHeader(http.StatusOK)
-	// Push the headers out even when there is nothing to replay yet, so
-	// the client observes the stream as open immediately.
-	fl.Flush()
+	// Headers go out even when there is nothing to replay yet, so the
+	// client observes the stream as open immediately.
+	sse.open()
 
 	s.metrics.campaignStreams.Add(1)
 	defer s.metrics.campaignStreams.Add(-1)
 
 	send := func(ev jobs.Event) bool {
-		payload, err := json.Marshal(ev)
-		if err != nil {
-			return false
-		}
-		if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Type, payload); err != nil {
-			return false
-		}
-		fl.Flush()
-		return ev.Type != "state"
+		return sse.send(strconv.Itoa(ev.Seq), ev.Type, ev) && ev.Type != "state"
 	}
 	for _, ev := range replay {
 		if !send(ev) {
@@ -182,8 +169,7 @@ func (s *Server) handleCampaignStream(w http.ResponseWriter, r *http.Request, id
 			// Graceful shutdown: tell the client the stream is pausing,
 			// not that the job ended — it resumes via Last-Event-ID
 			// against the restarted daemon.
-			_, _ = fmt.Fprintf(w, "event: drain\ndata: {}\n\n")
-			fl.Flush()
+			sse.send("", "drain", struct{}{})
 			return
 		case ev, open := <-live:
 			if !open {

@@ -314,6 +314,50 @@ func parseStreamInterval(q string) (time.Duration, error) {
 	return d, nil
 }
 
+// sseWriter writes Server-Sent Events frames, flushing each one, for the
+// stats and campaign streams.
+type sseWriter struct {
+	w  http.ResponseWriter
+	fl http.Flusher
+}
+
+// newSSEWriter wraps w, or answers 500 and reports false when the
+// connection cannot stream.
+func newSSEWriter(w http.ResponseWriter) (sseWriter, bool) {
+	fl, ok := w.(http.Flusher)
+	if !ok {
+		httpError(w, http.StatusInternalServerError, fmt.Errorf("streaming unsupported by this connection"))
+	}
+	return sseWriter{w, fl}, ok
+}
+
+// open sends the event-stream headers and flushes them, so the client
+// sees the stream as open before the first frame.
+func (s sseWriter) open() {
+	s.w.Header().Set("Content-Type", "text/event-stream")
+	s.w.Header().Set("Cache-Control", "no-store")
+	s.w.WriteHeader(http.StatusOK)
+	s.fl.Flush()
+}
+
+// send writes one frame — an `id:` line when id is non-empty, the event
+// name, v as JSON data — and flushes it. It reports false once the frame
+// cannot be written.
+func (s sseWriter) send(id, event string, v any) bool {
+	payload, err := json.Marshal(v)
+	if err != nil {
+		return false
+	}
+	if id != "" {
+		id = "id: " + id + "\n"
+	}
+	if _, err := fmt.Fprintf(s.w, "%sevent: %s\ndata: %s\n\n", id, event, payload); err != nil {
+		return false
+	}
+	s.fl.Flush()
+	return true
+}
+
 // handleStatsStream serves /v2/stats/stream: an SSE stream of periodic
 // `event: stats` telemetry snapshots plus `event: alert` frames when an
 // SLO starts burning. `interval` (milliseconds, default 1000, clamped to
@@ -326,9 +370,8 @@ func (s *Server) handleStatsStream(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("GET required"))
 		return
 	}
-	fl, ok := w.(http.Flusher)
+	sse, ok := newSSEWriter(w)
 	if !ok {
-		httpError(w, http.StatusInternalServerError, fmt.Errorf("streaming unsupported by this connection"))
 		return
 	}
 	interval, err := parseStreamInterval(r.URL.Query().Get("interval"))
@@ -336,26 +379,12 @@ func (s *Server) handleStatsStream(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-store")
-	w.WriteHeader(http.StatusOK)
+	sse.open()
 
 	s.metrics.streamClients.Add(1)
 	defer s.metrics.streamClients.Add(-1)
 
-	sendEvent := func(event string, v any) bool {
-		payload, err := json.Marshal(v)
-		if err != nil {
-			return false
-		}
-		if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, payload); err != nil {
-			return false
-		}
-		fl.Flush()
-		return true
-	}
-	if !sendEvent("stats", s.snapshotStream()) {
+	if !sse.send("", "stats", s.snapshotStream()) {
 		return
 	}
 	alerts, cancelAlerts := s.subscribeAlerts()
@@ -364,7 +393,7 @@ func (s *Server) handleStatsStream(w http.ResponseWriter, r *http.Request) {
 	// dashboard shows the banner without waiting for the next transition.
 	active, _ := s.sloEngine.Alerts()
 	for _, a := range active {
-		if !sendEvent("alert", a) {
+		if !sse.send("", "alert", a) {
 			return
 		}
 	}
@@ -377,11 +406,11 @@ func (s *Server) handleStatsStream(w http.ResponseWriter, r *http.Request) {
 		case <-s.streamDone:
 			return
 		case a := <-alerts:
-			if !sendEvent("alert", a) {
+			if !sse.send("", "alert", a) {
 				return
 			}
 		case <-tick.C:
-			if !sendEvent("stats", s.snapshotStream()) {
+			if !sse.send("", "stats", s.snapshotStream()) {
 				return
 			}
 		}

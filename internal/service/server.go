@@ -52,7 +52,8 @@ type Config struct {
 	// selects the shared wcet.DefaultRegistry. /v1 computes the ftc and
 	// ilpPtac pair unconditionally, so a registry without them (any
 	// wcet.NewDefaultRegistry-derived registry has them) yields a
-	// v2-only server whose /v1 requests fail with an unknown-model error.
+	// v2-only server whose /v1 requests fail validation (400) with an
+	// unknown-model error.
 	// A registry with no models at all is a programming error: New panics.
 	Registry *wcet.Registry
 	// TableStore is the versioned latency-table store backing /v2/tables
@@ -527,11 +528,11 @@ func (s *Server) admit(ctx context.Context) (release func(), err error) {
 // lookupOrCompute is the one cache-accounting point per request, which
 // ends up counted exactly once: as a hit (served from the cache), a dedup
 // (joined an identical in-flight evaluation) or a miss (evaluated).
-// compute is the version-specific evaluation (v1 or v2); the admission,
-// caching and singleflight machinery is shared. ctx carries the request
-// trace (when one is active) into the evaluation's spans, and bounds only
-// a join wait: an evaluation, once started, runs to completion so its
-// result can be cached for the next asker.
+// compute is the miss-path evaluation (evaluateEncoded, for every
+// analysis endpoint). ctx carries the request trace (when one is active)
+// into the evaluation's spans, and bounds only a join wait: an
+// evaluation, once started, runs to completion so its result can be
+// cached for the next asker.
 func (s *Server) lookupOrCompute(ctx context.Context, key string, compute func(context.Context) (*cached, error)) (*cached, error) {
 	if v, ok := s.cache.get(key); ok {
 		return v, nil
@@ -574,24 +575,11 @@ func (s *Server) lookupOrCompute(ctx context.Context, key string, compute func(c
 	return f.val, f.err
 }
 
-// evaluateEncoded runs the v1 models under the given table version and
-// freezes the response together with its canonical encoding.
-func (s *Server) evaluateEncoded(ctx context.Context, req Request, table tabstore.ID) (*cached, error) {
-	resp, err := evaluateWith(ctx, s.analyzer, req, string(table))
-	if err != nil {
-		return nil, err
-	}
-	body, err := encodeRetained(resp)
-	if err != nil {
-		return nil, err
-	}
-	return &cached{resp: resp, body: body}, nil
-}
-
-// evaluateV2Encoded runs an already-prepared request's selected models and
-// freezes the v2 response with its canonical encoding.
-func (s *Server) evaluateV2Encoded(ctx context.Context, sdkReq wcet.Request) (*cached, error) {
-	resp, err := evaluateV2Prepared(ctx, s.analyzer, sdkReq)
+// evaluateEncoded is the miss path of every analysis endpoint: it
+// evaluates an already-prepared request and freezes the version-shaped
+// response together with its canonical encoding.
+func (s *Server) evaluateEncoded(ctx context.Context, sdkReq wcet.Request, v apiVersion) (*cached, error) {
+	resp, err := evaluate(ctx, s.analyzer, sdkReq, v)
 	if err != nil {
 		return nil, err
 	}
@@ -607,6 +595,7 @@ func (s *Server) requestCtx(r *http.Request) (context.Context, context.CancelFun
 	return context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 }
 
+// handleSingle serves /v1/wcet as the fixed-pair view of /v2/analyze.
 func (s *Server) handleSingle(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
@@ -617,59 +606,56 @@ func (s *Server) handleSingle(w http.ResponseWriter, r *http.Request) {
 		httpError(w, decodeStatus(err), err)
 		return
 	}
-	if err := req.validate(s.analyzer.Registry()); err != nil {
+	s.serveAnalysis(w, r, req.asV2(), apiV1)
+}
+
+// handleV2Analyze serves the registry-generic analysis endpoint: the
+// caller names any subset of registered models and gets exactly those
+// estimates.
+func (s *Server) handleV2Analyze(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodPost {
+		httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
+		return
+	}
+	req, err := DecodeV2Request(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	if err != nil {
+		httpError(w, decodeStatus(err), err)
+		return
+	}
+	s.serveAnalysis(w, r, req, apiV2)
+}
+
+// serveAnalysis is the one single-request analysis path behind /v1/wcet
+// and /v2/analyze: prepare (validation before admission), pin the table,
+// key, then serve through the cache.
+func (s *Server) serveAnalysis(w http.ResponseWriter, r *http.Request, req V2Request, v apiVersion) {
+	reg := s.analyzer.Registry()
+	sdkReq, err := req.prepare(reg, v)
+	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	// Pin the serving table once per request: the result key carries its
-	// content address, so a mid-request promote can neither poison the
-	// cache nor mix tables within one evaluation.
+	// Resolve the table selection (a ref or ID; empty — always, on /v1 —
+	// selects the serving default) to its content address once: the
+	// result key carries it, so evaluation and cache key agree on the
+	// exact table version even if a ref is retargeted or the default
+	// promoted mid-flight.
 	table := s.servingID()
-	s.serveCached(w, r, tableKey(canonicalKeyReg(s.analyzer.Registry(), req), table), func(ctx context.Context) (*cached, error) {
-		return s.evaluateEncoded(ctx, req, table)
+	if req.Table != "" {
+		if _, table, err = s.store.Resolve(req.Table); err != nil {
+			httpError(w, http.StatusBadRequest, err)
+			return
+		}
+	}
+	sdkReq.TableRef = string(table)
+	s.serveCached(w, r, tableKey(requestKey(reg, v, req), table), func(ctx context.Context) (*cached, error) {
+		return s.evaluateEncoded(ctx, sdkReq, v)
 	})
 }
 
 // tableKey scopes a canonical request key to one table version.
 func tableKey(base string, table tabstore.ID) string {
 	return base + ";tab=" + string(table)
-}
-
-// handleV2Analyze serves the registry-generic analysis endpoint: the
-// caller names any subset of registered models and gets exactly those
-// estimates, through the same admission, caching and singleflight path as
-// /v1.
-func (s *Server) handleV2Analyze(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
-		return
-	}
-	var req V2Request
-	if err := decodeStrict(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), &req); err != nil {
-		httpError(w, decodeStatus(err), err)
-		return
-	}
-	sdkReq, err := req.Prepare(s.analyzer.Registry())
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	// Resolve the request's table selection (a ref or ID; empty selects
-	// the serving default) to its content address now: evaluation and
-	// cache key then agree on the exact table version even if a ref is
-	// retargeted or the default promoted mid-flight.
-	table := s.servingID()
-	if req.Table != "" {
-		var rerr error
-		if _, table, rerr = s.store.Resolve(req.Table); rerr != nil {
-			httpError(w, http.StatusBadRequest, rerr)
-			return
-		}
-	}
-	sdkReq.TableRef = string(table)
-	s.serveCached(w, r, tableKey(CanonicalKeyV2(s.analyzer.Registry(), req), table), func(ctx context.Context) (*cached, error) {
-		return s.evaluateV2Encoded(ctx, sdkReq)
-	})
 }
 
 // handleV2Models lists the registry: canonical names plus accepted
@@ -789,12 +775,16 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	ch := make(chan []campaign.Outcome[*cached], 1)
 	go func() {
 		defer release()
+		reg := s.analyzer.Registry()
 		ch <- campaign.Batch(ctx, s.engine, batch.Requests, func(ctx context.Context, req Request) (*cached, error) {
-			if err := req.validate(s.analyzer.Registry()); err != nil {
+			view := req.asV2()
+			sdkReq, err := view.prepare(reg, apiV1)
+			if err != nil {
 				return nil, err
 			}
-			return s.lookupOrCompute(ctx, tableKey(canonicalKeyReg(s.analyzer.Registry(), req), table), func(ctx context.Context) (*cached, error) {
-				return s.evaluateEncoded(ctx, req, table)
+			sdkReq.TableRef = string(table)
+			return s.lookupOrCompute(ctx, tableKey(requestKey(reg, apiV1, view), table), func(ctx context.Context) (*cached, error) {
+				return s.evaluateEncoded(ctx, sdkReq, apiV1)
 			})
 		})
 	}()

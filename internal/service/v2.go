@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sort"
-	"strings"
 
 	"repro/internal/dsu"
 	"repro/wcet"
@@ -164,6 +162,14 @@ func parsePTAC(m map[string]int64) (wcet.PTAC, error) {
 // errors and surface at evaluation time — the service cannot know them
 // for arbitrary registered models.
 func (r V2Request) Prepare(reg *wcet.Registry) (wcet.Request, error) {
+	return r.prepare(reg, apiV2)
+}
+
+// prepare is Prepare for a request that arrived on API version v. A v1
+// request is the v2 view with no models, so it goes through every check
+// above; the one v1-only difference is the message for an rta.model
+// outside the fixed pair, which points the caller at /v2/analyze.
+func (r V2Request) prepare(reg *wcet.Registry, v apiVersion) (wcet.Request, error) {
 	out, err := r.toSDK()
 	if err != nil {
 		return wcet.Request{}, err
@@ -208,6 +214,9 @@ func (r V2Request) Prepare(reg *wcet.Registry) (wcet.Request, error) {
 			return wcet.Request{}, fmt.Errorf("rta.model: %w", err)
 		}
 		if !selected[canon] {
+			if v == apiV1 {
+				return wcet.Request{}, fmt.Errorf("rta.model: /v1 computes only %s and %s, got %q (use /v2/analyze for other models)", v1Models[0], v1Models[1], r.RTA.Model)
+			}
 			return wcet.Request{}, fmt.Errorf("rta.model %s is not among the requested models", canon)
 		}
 		for i, o := range r.RTA.Others {
@@ -219,18 +228,12 @@ func (r V2Request) Prepare(reg *wcet.Registry) (wcet.Request, error) {
 	return out, nil
 }
 
-// Validate rejects malformed v2 requests; see Prepare for the checks.
-func (r V2Request) Validate(reg *wcet.Registry) error {
-	_, err := r.Prepare(reg)
-	return err
-}
-
 // EvaluateV2 runs the selected models (and the optional RTA step) on one
 // v2 request through an analyzer. Like Evaluate it is a pure function of
-// the request; the daemon calls it per cache miss. A table selection is
-// rejected here: only the daemon carries the store that could resolve it
-// (it resolves Table to a content address before evaluation instead of
-// calling this helper).
+// the request; the daemon runs the same prepare and evaluate per cache
+// miss. A table selection is rejected here: only the daemon carries the
+// store that could resolve it (it resolves Table to a content address
+// before evaluation instead of calling this helper).
 func EvaluateV2(an *wcet.Analyzer, req V2Request) (*V2Response, error) {
 	if req.Table != "" {
 		return nil, fmt.Errorf(`"table" selection requires the daemon's table store (POST the request to wcetd's /v2/analyze)`)
@@ -239,90 +242,11 @@ func EvaluateV2(an *wcet.Analyzer, req V2Request) (*V2Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	return evaluateV2Prepared(context.Background(), an, sdkReq)
-}
-
-// evaluateV2Prepared runs an already-validated, already-converted request —
-// the daemon's miss path, where Prepare ran before admission. ctx carries
-// trace spans only; cancellation is stripped so the evaluation completes
-// for any singleflight followers.
-func evaluateV2Prepared(ctx context.Context, an *wcet.Analyzer, sdkReq wcet.Request) (*V2Response, error) {
-	res, err := an.Analyze(context.WithoutCancel(ctx), sdkReq)
+	resp, err := evaluate(context.Background(), an, sdkReq, apiV2)
 	if err != nil {
 		return nil, err
 	}
-	out := &V2Response{Estimates: make([]V2Estimate, len(res.Estimates))}
-	for i, e := range res.Estimates {
-		out.Estimates[i] = V2Estimate{
-			Name:             e.Name,
-			Model:            e.Model,
-			IsolationCycles:  e.IsolationCycles,
-			ContentionCycles: e.ContentionCycles,
-			WCETCycles:       e.WCET(),
-			Ratio:            e.Ratio(),
-		}
-	}
-	if res.RTA != nil {
-		out.RTA = toRTAOut(res.RTA)
-	}
-	return out, nil
-}
-
-// CanonicalKeyV2 content-addresses a v2 request for the server's result
-// cache. It builds on the v1 canonicalization (normalized defaults,
-// contender order canonicalized) and extends it with the selected model
-// list (order kept — it is the response order), templates and PTACs.
-// Model names — the selected list and rta.model alike — are canonicalized
-// against the registry so alias spellings of the same request share an
-// entry; template and contender-PTAC order is canonicalized like the
-// contender set (every model is permutation-invariant in them).
-func CanonicalKeyV2(reg *wcet.Registry, req V2Request) string {
-	base := canonicalKeyReg(reg, Request{
-		Scenario:          req.Scenario,
-		Analysed:          req.Analysed,
-		Contenders:        req.Contenders,
-		StallMode:         req.StallMode,
-		DropContenderInfo: req.DropContenderInfo,
-		RTA:               req.RTA,
-	})
-
-	models := req.Models
-	if len(models) == 0 {
-		models = v1Models[:]
-	}
-	canon := make([]string, len(models))
-	for i, m := range models {
-		c, err := reg.Canonical(m)
-		if err != nil {
-			// Unknown names never reach the cache (Validate rejects them
-			// first); keep the raw spelling so the key stays total.
-			c = m
-		}
-		canon[i] = c
-	}
-
-	var b strings.Builder
-	fmt.Fprintf(&b, "v2;%s;models=%s", base, strings.Join(canon, ","))
-	tps := make([]string, len(req.Templates))
-	for i, tp := range req.Templates {
-		tps[i] = fmt.Sprintf("%q:%s", tp.Name, canonWirePTAC(tp.MaxRequests))
-	}
-	sort.Strings(tps)
-	for _, tp := range tps {
-		fmt.Fprintf(&b, ";tp=%s", tp)
-	}
-	if req.AnalysedPTAC != nil {
-		fmt.Fprintf(&b, ";pa=%s", canonWirePTAC(req.AnalysedPTAC))
-	}
-	pbs := make([]string, len(req.ContenderPTACs))
-	for i, p := range req.ContenderPTACs {
-		pbs[i] = canonWirePTAC(p)
-	}
-	sort.Strings(pbs)
-	for _, p := range pbs {
-		fmt.Fprintf(&b, ";pb=%s", p)
-	}
-	return hashKey(b.String())
+	return resp.(*V2Response), nil
 }
 
 // DecodeV2Request reads one JSON v2 request with the service's strict
@@ -353,13 +277,4 @@ func RunCLIV2(in io.Reader, out io.Writer, models []string) error {
 		return err
 	}
 	return EncodeJSON(out, resp)
-}
-
-func canonWirePTAC(m map[string]int64) string {
-	parts := make([]string, 0, len(m))
-	for k, v := range m {
-		parts = append(parts, fmt.Sprintf("%s=%d", k, v))
-	}
-	sort.Strings(parts)
-	return strings.Join(parts, ",")
 }

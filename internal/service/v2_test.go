@@ -242,7 +242,7 @@ func TestCanonicalKeyV2Invariance(t *testing.T) {
 	}
 
 	// Custom-registry aliases collapse too when the server's registry is
-	// threaded through (canonicalKeyReg), not just the default set.
+	// threaded through (requestKey), not just the default set.
 	creg := wcet.NewRegistry()
 	if err := creg.Register(wcet.NewModel("toy", func(_ context.Context, in wcet.Input) (wcet.Estimate, error) {
 		return wcet.Estimate{Model: "toy"}, nil
@@ -253,7 +253,7 @@ func TestCanonicalKeyV2Invariance(t *testing.T) {
 	c1.RTA = &RTARequest{Model: "speedy", Task: v1.RTA.Task}
 	c2 := v1
 	c2.RTA = &RTARequest{Model: "toy", Task: v1.RTA.Task}
-	if canonicalKeyReg(creg, c1) != canonicalKeyReg(creg, c2) {
+	if requestKey(creg, apiV1, c1.asV2()) != requestKey(creg, apiV1, c2.asV2()) {
 		t.Error("custom-registry alias spellings produced different cache keys")
 	}
 
@@ -326,6 +326,9 @@ func TestV2OnlyRegistryServer(t *testing.T) {
 	}
 
 	// /v1 on the same server fails per-request — it needs the built-ins.
+	// Its view selects the pair, so Prepare rejects it as a 400 before
+	// admission, not as a 422 from evaluation.
+	accepted := srv.StatsSnapshot().Accepted
 	v1resp, err := http.Post(ts.URL+"/v1/wcet", "application/json",
 		bytes.NewReader([]byte(`{"scenario": 1, `+v2Analysed+`}`)))
 	if err != nil {
@@ -334,6 +337,50 @@ func TestV2OnlyRegistryServer(t *testing.T) {
 	v1resp.Body.Close()
 	if v1resp.StatusCode == http.StatusOK {
 		t.Error("/v1 succeeded on a registry without the ftc/ilpPtac pair")
+	}
+	if v1resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("/v1 on a v2-only server: status %s, want 400", v1resp.Status)
+	}
+	if got := srv.StatsSnapshot().Accepted; got != accepted {
+		t.Errorf("rejected /v1 request was admitted: accepted %d -> %d", accepted, got)
+	}
+}
+
+// TestV1V2DistinctCacheEntries asserts a v1 request and its v2 view never
+// share a cache entry: the same body on both endpoints gets each
+// version's response shape, and the second request is a miss.
+func TestV1V2DistinctCacheEntries(t *testing.T) {
+	srv := New(Config{}, nil)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	body := `{"scenario": 1, ` + v2Analysed + `}`
+	v1resp, err := http.Post(ts.URL+"/v1/wcet", "application/json", bytes.NewReader([]byte(body)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v1resp.Body.Close()
+	if v1resp.StatusCode != http.StatusOK {
+		t.Fatalf("/v1: status %s", v1resp.Status)
+	}
+	var v1out map[string]json.RawMessage
+	if err := json.NewDecoder(v1resp.Body).Decode(&v1out); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := v1out["ftc"]; !ok || v1out["estimates"] != nil {
+		t.Errorf("/v1 body is not the v1 shape: %v", v1out)
+	}
+	hits := metricValue(t, scrape(t, ts.URL), "wcetd_cache_hits_total")
+
+	resp, out := postV2(t, ts.URL, body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/v2: status %s", resp.Status)
+	}
+	if len(out.Estimates) != 2 || out.Estimates[0].Name != "ftc" || out.Estimates[1].Name != "ilpPtac" {
+		t.Errorf("/v2 body is not the v2 shape of the pair: %+v", out)
+	}
+	if got := metricValue(t, scrape(t, ts.URL), "wcetd_cache_hits_total"); got != hits {
+		t.Errorf("/v2 request hit the /v1 entry: cache hits %g -> %g", hits, got)
 	}
 }
 
