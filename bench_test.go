@@ -436,8 +436,8 @@ func benchServeConfig(b *testing.B, cfg service.Config) service.Config {
 
 // shutdownAfter stops the server once the benchmark (including its
 // reporting) is done. Leaking servers across samples would let each
-// abandoned history sampler keep snapshotting and evaluating SLOs on
-// its 250ms tick, silently taxing every later benchmark in the run.
+// abandoned history sampler keep snapshotting the registry on its
+// 250ms tick, silently taxing every later benchmark in the run.
 func shutdownAfter(b *testing.B, srv *service.Server) {
 	b.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)

@@ -34,7 +34,6 @@
 //	GET  /v2/metrics/history?series=&from=&to=&step=  retained metrics
 //	                history (checksummed on-disk ring under <data>/obs,
 //	                tiered raw → 10s → 1m downsampling, survives kill -9)
-//	GET  /v2/alerts active and recently resolved SLO burn-rate alerts
 //	GET  /v2/traces?endpoint=&min_ms=&since=  stored trace search
 //	                (client-requested traces plus tail-sampled slow and
 //	                error requests)
@@ -72,7 +71,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/service"
 	"repro/internal/tabstore"
 	"repro/wcet"
@@ -92,10 +90,9 @@ func main() {
 	maxJobs := flag.Int("max-jobs", 16, "maximum concurrently admitted campaign jobs")
 	tableRef := flag.String("table", "tc27x/default", "table ref to serve under at startup")
 	slowReq := flag.Duration("slow-request", time.Second, "log requests slower than this with their trace (negative disables)")
-	ops := flag.Bool("ops", false, "expose net/http/pprof under /debug/pprof/ and run the continuous profiler")
-	obsDir := flag.String("obs-dir", "", "observability persistence directory for metrics history, stored traces and profiles (empty: <data>/obs, or in-memory when -data is empty too)")
+	ops := flag.Bool("ops", false, "expose net/http/pprof under /debug/pprof/")
+	obsDir := flag.String("obs-dir", "", "observability persistence directory for metrics history and stored traces (empty: <data>/obs, or in-memory when -data is empty too)")
 	historyInterval := flag.Duration("history-interval", 5*time.Second, "metrics-history sampling cadence")
-	sloConfig := flag.String("slo-config", "", "JSON file defining SLO objectives (empty: built-in defaults)")
 	traceEntries := flag.Int("trace-store", 512, "stored-trace retention (entries)")
 	logJSON := flag.Bool("log-json", false, "emit logs as JSON instead of text")
 	flag.Parse()
@@ -119,12 +116,6 @@ func main() {
 	}
 	if *obsDir == "" && *dataDir != "" {
 		*obsDir = filepath.Join(*dataDir, "obs")
-	}
-	var objectives []obs.Objective
-	if *sloConfig != "" {
-		if objectives, err = obs.LoadObjectives(*sloConfig); err != nil {
-			fail(logger, fmt.Errorf("-slo-config: %w", err))
-		}
 	}
 	// The service seeds "tc27x/default" itself; any other startup ref
 	// must already exist in the store — fail with a usage error rather
@@ -152,7 +143,6 @@ func main() {
 		EnableOps:            *ops,
 		ObsDir:               *obsDir,
 		HistoryInterval:      *historyInterval,
-		SLOObjectives:        objectives,
 		TraceStoreEntries:    *traceEntries,
 	}, nil)
 
@@ -173,11 +163,8 @@ func main() {
 	} else {
 		logger.Info("observability in-memory (no -data/-obs-dir)", "historyInterval", *historyInterval)
 	}
-	if *sloConfig != "" {
-		logger.Info("slo objectives loaded", "path", *sloConfig, "count", len(objectives))
-	}
 	if *ops {
-		logger.Info("pprof enabled", "path", "/debug/pprof/", "profiler", *obsDir != "")
+		logger.Info("pprof enabled", "path", "/debug/pprof/")
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -1,18 +1,13 @@
 // Package obs is wcetd's forensic layer: it gives the live telemetry in
-// internal/telemetry a memory. Four pieces:
+// internal/telemetry a memory. Two pieces:
 //
 //   - TSDB: an on-disk metrics time-series store. Every sampling tick the
 //     server appends its full registry snapshot; tiered downsampling
 //     (raw → 10s → 1m) and bounded retention keep both disk and memory
-//     flat while holding enough history for multi-day SLO windows.
-//   - Engine: a declarative SLO engine evaluating multi-window burn rates
-//     (fast 5m/1h, slow 6h/3d) against the TSDB and surfacing alerts.
+//     flat while holding three days of history for /v2/metrics/history.
 //   - TraceStore: a bounded on-disk ring of finished request traces
 //     (client-requested, slow and error requests via tail-sampling),
 //     searchable by endpoint/duration/time and retrievable by ID.
-//   - Profiler: continuous CPU/heap pprof capture into a ring directory,
-//     on a timer and immediately when an SLO starts burning — so the
-//     profile from the incident exists without an operator attached.
 //
 // The TSDB tiers and the trace store persist through internal/store's
 // checksummed segment ring, the same line log that holds campaign-job
@@ -47,9 +42,9 @@ type TierSpec struct {
 }
 
 // DefaultTiers is the raw → 10s → 1m downsampling ladder. Retention is
-// chosen so the slow SLO windows always have data: raw covers the last
-// hour at a 5s sampling cadence, the 10s tier six hours, and the 1m tier
-// three days — the slow burn-rate window.
+// chosen so /v2/metrics/history reaches three days back at a resolution
+// that coarsens with age: raw covers the last hour at a 5s sampling
+// cadence, the 10s tier six hours, and the 1m tier three days.
 func DefaultTiers() []TierSpec {
 	return []TierSpec{
 		{Name: "raw", Step: 0, Retain: 720},
@@ -287,23 +282,9 @@ func (db *TSDB) Query(pattern string, from, to, step int64) []Point {
 	return pts
 }
 
-// multiPattern joins several series patterns into one; Query sums the
-// union of their matches. NUL can never appear in a metric name, so the
-// joined form is unambiguous.
-func multiPattern(patterns []string) string {
-	return strings.Join(patterns, "\x00")
-}
-
 // matchCols resolves a series pattern against a tier's columns: an exact
-// name, a trailing-'*' prefix match, or a NUL-joined union of either.
+// name or a trailing-'*' prefix match.
 func matchCols(cols map[string][]float64, pattern string) [][]float64 {
-	if strings.Contains(pattern, "\x00") {
-		var out [][]float64
-		for _, part := range strings.Split(pattern, "\x00") {
-			out = append(out, matchCols(cols, part)...)
-		}
-		return out
-	}
 	if prefix, ok := strings.CutSuffix(pattern, "*"); ok {
 		var out [][]float64
 		for name, col := range cols {
@@ -317,70 +298,6 @@ func matchCols(cols map[string][]float64, pattern string) [][]float64 {
 		return [][]float64{col}
 	}
 	return nil
-}
-
-// Increase returns the growth of a (counter) series pattern over
-// [from, to]: the sum of positive deltas between consecutive retained
-// samples, so a counter reset across a restart contributes nothing
-// instead of a huge negative. ok is false when fewer than two samples
-// fall in the window.
-func (db *TSDB) Increase(pattern string, from, to int64) (inc float64, ok bool) {
-	pts := db.Query(pattern, from, to, 0)
-	if len(pts) < 2 {
-		return 0, false
-	}
-	for i := 1; i < len(pts); i++ {
-		if d := pts[i].V - pts[i-1].V; d > 0 {
-			inc += d
-		}
-	}
-	return inc, true
-}
-
-// ViolationFraction returns the fraction of retained samples of a series
-// pattern in [from, to] for which pred holds. ok is false with fewer
-// than two samples (one sample is a point, not a window).
-func (db *TSDB) ViolationFraction(pattern string, from, to int64, pred func(float64) bool) (frac float64, ok bool) {
-	pts := db.Query(pattern, from, to, 0)
-	if len(pts) < 2 {
-		return 0, false
-	}
-	bad := 0
-	for _, p := range pts {
-		if pred(p.V) {
-			bad++
-		}
-	}
-	return float64(bad) / float64(len(pts)), true
-}
-
-// Max returns the maximum sample of a series pattern in [from, to]; ok
-// is false when the window holds no samples.
-func (db *TSDB) Max(pattern string, from, to int64) (max float64, ok bool) {
-	pts := db.Query(pattern, from, to, 0)
-	if len(pts) == 0 {
-		return 0, false
-	}
-	max = math.Inf(-1)
-	for _, p := range pts {
-		if p.V > max {
-			max = p.V
-		}
-	}
-	return max, true
-}
-
-// OldestUnixMs returns the earliest retained timestamp (0 when empty).
-func (db *TSDB) OldestUnixMs() int64 {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	oldest := int64(0)
-	for _, tr := range db.tiers {
-		if len(tr.times) > 0 && (oldest == 0 || tr.times[0] < oldest) {
-			oldest = tr.times[0]
-		}
-	}
-	return oldest
 }
 
 // Close syncs and closes the segment logs.

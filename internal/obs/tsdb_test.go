@@ -55,10 +55,6 @@ func TestTSDBPrefixSumAndMultiPattern(t *testing.T) {
 	if len(pts) != 1 || pts[0].V != 7 {
 		t.Fatalf("prefix sum: %+v", pts)
 	}
-	pts = db.Query(multiPattern([]string{"req*", "other"}), 0, 0, 0)
-	if len(pts) != 1 || pts[0].V != 107 {
-		t.Fatalf("multi pattern: %+v", pts)
-	}
 }
 
 func TestTSDBDownsamplingTiers(t *testing.T) {
@@ -136,46 +132,6 @@ func TestTSDBSkipsNaNAndBackwardsClock(t *testing.T) {
 	}
 	if pts := db.Query("a", 0, 0, 0); len(pts) != 1 || pts[0].V != 1 {
 		t.Fatalf("backwards clock sample not skipped: %+v", pts)
-	}
-}
-
-func TestTSDBIncreaseCounterResetSafe(t *testing.T) {
-	db, _ := OpenTSDB("", testTiers())
-	vals := []float64{10, 20, 35, 5, 15} // reset between 35 and 5
-	for i, v := range vals {
-		if err := db.Append(int64(1000*(i+1)), map[string]float64{"ctr": v}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	inc, ok := db.Increase("ctr", 0, 0)
-	if !ok {
-		t.Fatal("Increase not ok")
-	}
-	if inc != 35 { // 10+15 before the reset, +10 after
-		t.Fatalf("inc = %v, want 35", inc)
-	}
-	if _, ok := db.Increase("missing", 0, 0); ok {
-		t.Fatal("Increase ok on missing series")
-	}
-}
-
-func TestTSDBViolationFractionAndMax(t *testing.T) {
-	db, _ := OpenTSDB("", testTiers())
-	for i, v := range []float64{0.1, 0.2, 2.0, 3.0} {
-		if err := db.Append(int64(1000*(i+1)), map[string]float64{"p99": v}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	frac, ok := db.ViolationFraction("p99", 0, 0, func(v float64) bool { return v > 1 })
-	if !ok || frac != 0.5 {
-		t.Fatalf("frac = %v ok=%v", frac, ok)
-	}
-	max, ok := db.Max("p99", 0, 0)
-	if !ok || max != 3.0 {
-		t.Fatalf("max = %v ok=%v", max, ok)
-	}
-	if db.OldestUnixMs() != 1000 {
-		t.Fatalf("oldest = %d", db.OldestUnixMs())
 	}
 }
 

@@ -14,13 +14,11 @@ import (
 )
 
 // This file wires the obs persistence layer into the server: the
-// metrics-history sampler and its query endpoint, the SLO engine and
-// alert fan-out, the stored-trace search endpoints, and the continuous
-// profiler.
+// metrics-history sampler and its query endpoint, and the stored-trace
+// search endpoints.
 //
 //	GET /v2/metrics/history?series=&from=&to=&step=  retained history of one series
 //	GET /v2/metrics/history                          the retained series names
-//	GET /v2/alerts                                   active + recently resolved SLO alerts
 //	GET /v2/traces?endpoint=&min_ms=&since=&limit=   stored trace search
 //	GET /v2/traces/{id}                              one stored trace's span tree
 
@@ -56,9 +54,9 @@ func buildInfoLabels() map[string]string {
 	return labels
 }
 
-// openObservability builds the history store, SLO engine, trace store
-// and profiler from the config. Called from New; panics on unusable
-// state, matching the constructor's idiom for the other subsystems.
+// openObservability builds the history store and trace store from the
+// config. Called from New; panics on unusable state, matching the
+// constructor's idiom for the other subsystems.
 func (s *Server) openObservability() {
 	metricsDir, tracesDir := "", ""
 	if s.cfg.ObsDir != "" {
@@ -80,21 +78,6 @@ func (s *Server) openObservability() {
 			"droppedMetricsLines", db.Dropped, "droppedTraceLines", ts.Dropped)
 	}
 
-	if s.cfg.EnableOps && s.cfg.ObsDir != "" {
-		p, err := obs.NewProfiler(filepath.Join(s.cfg.ObsDir, "profiles"), 10*time.Minute, 24, s.logger)
-		if err != nil {
-			panic(fmt.Sprintf("service: opening profiler: %v", err))
-		}
-		s.profiler = p
-		p.Start()
-	}
-
-	eng, err := obs.NewEngine(db, s.cfg.SLOObjectives, s.onSLOFire)
-	if err != nil {
-		panic(fmt.Sprintf("service: building SLO engine: %v", err))
-	}
-	s.sloEngine = eng
-
 	s.samplerWG.Add(1)
 	go s.sampleLoop()
 }
@@ -103,15 +86,11 @@ func (s *Server) openObservability() {
 func (s *Server) closeObservability() {
 	s.samplerOnce.Do(func() { close(s.samplerDone) })
 	s.samplerWG.Wait()
-	if s.profiler != nil {
-		s.profiler.Close()
-	}
 	s.history.Close()
 	s.traceStore.Close()
 }
 
-// sampleLoop appends one merged registry snapshot per HistoryInterval
-// and re-evaluates the SLO engine against the refreshed history.
+// sampleLoop appends one merged registry snapshot per HistoryInterval.
 func (s *Server) sampleLoop() {
 	defer s.samplerWG.Done()
 	tick := time.NewTicker(s.cfg.HistoryInterval)
@@ -121,50 +100,10 @@ func (s *Server) sampleLoop() {
 		case <-s.samplerDone:
 			return
 		case <-tick.C:
-			s.sampleOnce()
+			if err := s.history.Append(time.Now().UnixMilli(), s.metricsSnapshot()); err != nil {
+				s.logger.Warn("metrics history append failed", "err", err)
+			}
 		}
-	}
-}
-
-func (s *Server) sampleOnce() {
-	now := time.Now().UnixMilli()
-	if err := s.history.Append(now, s.metricsSnapshot()); err != nil {
-		s.logger.Warn("metrics history append failed", "err", err)
-	}
-	s.sloEngine.Evaluate(now)
-}
-
-// onSLOFire handles one alert's transition into firing: a structured
-// warning, an immediate profile capture, and fan-out to SSE streams.
-func (s *Server) onSLOFire(a obs.Alert) {
-	s.logger.Warn("slo burn",
-		"slo", a.SLO, "severity", a.Severity,
-		"burnShort", a.BurnShort, "burnLong", a.BurnLong,
-		"threshold", a.Threshold, "windows", a.WindowShort+"/"+a.WindowLong)
-	if s.profiler != nil {
-		s.profiler.TriggerBurn(a.SLO + "-" + a.Severity)
-	}
-	s.alertMu.Lock()
-	for ch := range s.alertSubs {
-		select {
-		case ch <- a:
-		default: // a stalled stream must not block the evaluator
-		}
-	}
-	s.alertMu.Unlock()
-}
-
-// subscribeAlerts registers an SSE stream for fired alerts; the returned
-// cancel must be called when the stream ends.
-func (s *Server) subscribeAlerts() (<-chan obs.Alert, func()) {
-	ch := make(chan obs.Alert, 8)
-	s.alertMu.Lock()
-	s.alertSubs[ch] = struct{}{}
-	s.alertMu.Unlock()
-	return ch, func() {
-		s.alertMu.Lock()
-		delete(s.alertSubs, ch)
-		s.alertMu.Unlock()
 	}
 }
 
@@ -270,26 +209,6 @@ func (s *Server) handleMetricsHistory(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, historyResponse{
 		Series: series,
 		Points: s.history.Query(series, from, to, step),
-	})
-}
-
-// alertsResponse is the GET /v2/alerts payload.
-type alertsResponse struct {
-	Active     []obs.Alert     `json:"active"`
-	Resolved   []obs.Alert     `json:"resolved"`
-	Objectives []obs.Objective `json:"objectives"`
-}
-
-func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("GET required"))
-		return
-	}
-	active, resolved := s.sloEngine.Alerts()
-	writeJSON(w, http.StatusOK, alertsResponse{
-		Active:     active,
-		Resolved:   resolved,
-		Objectives: s.sloEngine.Objectives(),
 	})
 }
 

@@ -61,17 +61,12 @@ func TestMetricsHistoryEndpoint(t *testing.T) {
 	}
 }
 
-func TestAlertsEndpoint(t *testing.T) {
+// TestAlertsEndpointRetired pins that /v2/alerts is not served: the
+// daemon evaluates no SLOs, so the path is a 404, not an empty list.
+func TestAlertsEndpointRetired(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	var out alertsResponse
-	if status := getJSON(t, ts.URL+"/v2/alerts", &out); status != http.StatusOK {
-		t.Fatalf("status %d", status)
-	}
-	if len(out.Objectives) == 0 {
-		t.Fatal("no objectives (defaults expected)")
-	}
-	if out.Active == nil && len(out.Active) != 0 {
-		t.Fatalf("active = %+v", out.Active)
+	if status := getJSON(t, ts.URL+"/v2/alerts", nil); status != http.StatusNotFound {
+		t.Fatalf("GET /v2/alerts: status %d, want 404", status)
 	}
 }
 
@@ -247,7 +242,7 @@ func TestParseStreamInterval(t *testing.T) {
 
 func TestStatsStreamRejectsBadInterval(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	for _, q := range []string{"interval=abc", "interval=0", "interval=-100", "interval=1e3"} {
+	for _, q := range []string{"interval=abc", "interval=bogus", "interval=0", "interval=-100", "interval=1e3"} {
 		resp, err := http.Get(ts.URL + "/v2/stats/stream?" + q)
 		if err != nil {
 			t.Fatal(err)

@@ -219,13 +219,6 @@ func (r *traceRecorder) Write(b []byte) (int, error) {
 	return r.buf.Write(b)
 }
 
-// tracedEnvelope is the wire shape of a traced response: the exact bytes
-// the endpoint would have sent, wrapped beside the span tree.
-type tracedEnvelope struct {
-	Response json.RawMessage      `json:"response"`
-	Trace    *telemetry.TraceJSON `json:"trace"`
-}
-
 // writeTraced replays a recorded response wrapped in the trace envelope,
 // preserving the recorded status code. The envelope is assembled by
 // splicing, not re-marshalling: the recorded bytes appear verbatim under
@@ -359,12 +352,10 @@ func (s sseWriter) send(id, event string, v any) bool {
 }
 
 // handleStatsStream serves /v2/stats/stream: an SSE stream of periodic
-// `event: stats` telemetry snapshots plus `event: alert` frames when an
-// SLO starts burning. `interval` (milliseconds, default 1000, clamped to
-// [100ms, 60s]) tunes the snapshot cadence. On connect, currently firing
-// alerts are replayed as alert frames so a late subscriber still sees the
-// incident. The stream ends when the client disconnects or the server
-// begins graceful shutdown — open streams must not hold Shutdown hostage.
+// `event: stats` telemetry snapshots. `interval` (milliseconds, default
+// 1000, clamped to [100ms, 60s]) tunes the snapshot cadence. The stream
+// ends when the client disconnects or the server begins graceful
+// shutdown — open streams must not hold Shutdown hostage.
 func (s *Server) handleStatsStream(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("GET required"))
@@ -387,16 +378,6 @@ func (s *Server) handleStatsStream(w http.ResponseWriter, r *http.Request) {
 	if !sse.send("", "stats", s.snapshotStream()) {
 		return
 	}
-	alerts, cancelAlerts := s.subscribeAlerts()
-	defer cancelAlerts()
-	// Replay the currently firing alerts so a freshly (re)connected
-	// dashboard shows the banner without waiting for the next transition.
-	active, _ := s.sloEngine.Alerts()
-	for _, a := range active {
-		if !sse.send("", "alert", a) {
-			return
-		}
-	}
 	tick := time.NewTicker(interval)
 	defer tick.Stop()
 	for {
@@ -405,10 +386,6 @@ func (s *Server) handleStatsStream(w http.ResponseWriter, r *http.Request) {
 			return
 		case <-s.streamDone:
 			return
-		case a := <-alerts:
-			if !sse.send("", "alert", a) {
-				return
-			}
 		case <-tick.C:
 			if !sse.send("", "stats", s.snapshotStream()) {
 				return

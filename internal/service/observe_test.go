@@ -292,19 +292,6 @@ func TestStatsStream(t *testing.T) {
 	}
 }
 
-// TestStatsStreamBadInterval pins the 400 on a malformed interval.
-func TestStatsStreamBadInterval(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	resp, err := http.Get(ts.URL + "/v2/stats/stream?interval=bogus")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("status %d, want 400", resp.StatusCode)
-	}
-}
-
 // TestDashboardServed pins that /v2/dashboard returns the embedded page.
 func TestDashboardServed(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
@@ -322,6 +309,9 @@ func TestDashboardServed(t *testing.T) {
 	b, _ := io.ReadAll(resp.Body)
 	if !bytes.Contains(b, []byte("/v2/stats/stream")) {
 		t.Error("dashboard does not reference the SSE stream")
+	}
+	if bytes.Contains(b, []byte("/v2/alerts")) {
+		t.Error("dashboard still polls the retired /v2/alerts endpoint")
 	}
 }
 

@@ -84,22 +84,18 @@ type Config struct {
 	// requests, shutdown summary); nil selects slog.Default().
 	Logger *slog.Logger
 	// EnableOps additionally mounts net/http/pprof under /debug/pprof/
-	// (cmd/wcetd exposes this as -ops) and, when ObsDir is set, runs the
-	// continuous profiler. Off by default: profiling handlers do not
-	// belong on an unguarded production surface.
+	// (cmd/wcetd exposes this as -ops). Off by default: profiling
+	// handlers do not belong on an unguarded production surface.
 	EnableOps bool
 	// ObsDir is the observability persistence root (cmd/wcetd derives it
-	// from -data): metrics history segments, stored traces and captured
-	// profiles live under it. Empty keeps history and traces in bounded
-	// memory only — the APIs work, but nothing survives a restart.
+	// from -data): metrics history segments and stored traces live
+	// under it. Empty keeps history and traces in bounded memory only —
+	// the APIs work, but nothing survives a restart.
 	ObsDir string
 	// HistoryInterval is the metrics-history sampling cadence; <= 0
 	// selects 5 seconds, and anything under a second is raised to it
 	// (sub-second full-registry snapshots are dashboard poison).
 	HistoryInterval time.Duration
-	// SLOObjectives overrides the built-in SLO set (cmd/wcetd loads it
-	// from -slo-config); nil selects obs.DefaultObjectives.
-	SLOObjectives []obs.Objective
 	// TraceStoreEntries bounds retained traces; <= 0 selects 512.
 	TraceStoreEntries int
 }
@@ -256,17 +252,11 @@ type Server struct {
 	streamDone chan struct{}
 	streamOnce sync.Once
 
-	// The observability persistence layer: metrics history, SLO engine,
-	// stored traces, and (behind EnableOps+ObsDir) the profiler.
+	// The observability persistence layer: metrics history and stored
+	// traces.
 	history    *obs.TSDB
-	sloEngine  *obs.Engine
 	traceStore *obs.TraceStore
-	profiler   *obs.Profiler
 	started    time.Time
-
-	// alertSubs fans fired SLO alerts out to open SSE streams.
-	alertMu   sync.Mutex
-	alertSubs map[chan obs.Alert]struct{}
 
 	// samplerDone stops the history sampling loop on Shutdown.
 	samplerDone chan struct{}
@@ -347,7 +337,6 @@ func New(cfg Config, engine *campaign.Engine) *Server {
 		logger:      cfg.Logger,
 		streamDone:  make(chan struct{}),
 		started:     time.Now(),
-		alertSubs:   make(map[chan obs.Alert]struct{}),
 		samplerDone: make(chan struct{}),
 	}
 	s.serving.Store(servingID)
@@ -393,7 +382,6 @@ func New(cfg Config, engine *campaign.Engine) *Server {
 	mux.HandleFunc("/v2/campaigns/", s.routeCampaign)
 	mux.HandleFunc("/v2/stats/stream", s.instrument("v2_stats_stream", false, s.handleStatsStream))
 	mux.HandleFunc("/v2/metrics/history", s.instrument("v2_metrics_history", false, s.handleMetricsHistory))
-	mux.HandleFunc("/v2/alerts", s.instrument("v2_alerts", false, s.handleAlerts))
 	mux.HandleFunc("/v2/traces", s.instrument("v2_traces", false, s.handleTraces))
 	mux.HandleFunc("/v2/traces/", s.instrument("v2_traces", false, s.handleTraceByID))
 	mux.HandleFunc("/v2/dashboard", s.instrument("v2_dashboard", false, s.handleDashboard))

@@ -15,8 +15,8 @@
 #
 # A third phase exercises the observability layer: metrics history fills
 # and is queryable, a traced request's stored trace is retrievable by ID,
-# an induced latency SLO burn (nanosecond target) produces an `event:
-# alert` SSE frame, and both history and traces survive SIGKILL + restart.
+# the retired SLO surface stays gone (/v2/alerts is a 404, -slo-config is
+# an unknown flag), and both history and traces survive SIGKILL + restart.
 #
 # `make serve-smoke` and CI's wcetd-smoke job both run exactly this.
 set -euo pipefail
@@ -370,28 +370,10 @@ echo "serve-smoke: campaign daemon graceful shutdown"
 kill -TERM "$PID"
 wait "$PID"
 
-# --- Phase 3: observability — history, traces, SLO burn, kill -9 ---------
-# A daemon over the same persistent -data dir with a fast sampling cadence
-# and one deliberately impossible latency SLO: a nanosecond p99 target the
-# very first real request violates, so the burn-rate alert fires
-# deterministically within a few evaluation ticks.
-SLO_CFG="$WORK/slo_smoke.json"
-cat >"$SLO_CFG" <<'EOF'
-{
-  "objectives": [
-    {
-      "name": "smoke-latency",
-      "kind": "latency",
-      "goal": 0.99,
-      "series": "wcetd_request_seconds{endpoint=\"v1_wcet\"}_p99",
-      "targetSeconds": 0.000000001
-    }
-  ]
-}
-EOF
-
+# --- Phase 3: observability — history, traces, kill -9 ------------------
+# A daemon over the same persistent -data dir with a fast sampling cadence.
 echo "serve-smoke: observability daemon"
-"$BIN" -addr "$ADDR" -data "$DATA" -history-interval 200ms -slo-config "$SLO_CFG" &
+"$BIN" -addr "$ADDR" -data "$DATA" -history-interval 200ms &
 PID=$!
 wait_health "$PID"
 
@@ -431,30 +413,21 @@ fi
 # The history listing names the request counter family.
 curl -fsS "http://$ADDR/v2/metrics/history" | grep '"wcetd_requests_total' >/dev/null
 
-echo "serve-smoke: induced SLO burn fires"
-fired=""
-for _ in $(seq 1 150); do
-  fired=$(curl -fsS "http://$ADDR/v2/alerts")
-  if echo "$fired" | grep -q '"slo": "smoke-latency"'; then
-    break
-  fi
-  sleep 0.1
-done
-if ! echo "$fired" | grep -q '"slo": "smoke-latency"'; then
-  echo "serve-smoke: latency SLO never fired:" >&2
-  echo "$fired" >&2
+echo "serve-smoke: retired SLO surface is gone"
+status=$(curl -sS -o /dev/null -w '%{http_code}' "http://$ADDR/v2/alerts")
+if [ "$status" != 404 ]; then
+  echo "serve-smoke: GET /v2/alerts returned $status, want 404" >&2
   exit 1
 fi
-# The stats stream replays active alerts on connect, so a fresh
-# subscriber must see an `event: alert` frame immediately.
-(curl -fsS -m 3 -N "http://$ADDR/v2/stats/stream?interval=100" 2>/dev/null || true) \
-  >"$WORK/obs_stream.txt"
-if ! grep -q '^event: alert' "$WORK/obs_stream.txt"; then
-  echo "serve-smoke: stats stream carried no alert frame:" >&2
-  head -20 "$WORK/obs_stream.txt" >&2
+if "$BIN" -slo-config x 2>"$WORK/slo_flag.txt"; then
+  echo "serve-smoke: wcetd accepted the retired -slo-config flag" >&2
   exit 1
 fi
-grep -A1 '^event: alert' "$WORK/obs_stream.txt" | grep -q 'smoke-latency'
+if ! grep -q 'flag provided but not defined' "$WORK/slo_flag.txt"; then
+  echo "serve-smoke: -slo-config did not fail at flag parsing:" >&2
+  cat "$WORK/slo_flag.txt" >&2
+  exit 1
+fi
 
 echo "serve-smoke: observability kill -9 + restart preserves history and traces"
 kill -9 "$PID"
