@@ -21,7 +21,7 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"strings"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -342,37 +342,36 @@ type isoEntry struct {
 }
 
 // configKey canonicalises a sim.Config into a deterministic string (map
-// fields are emitted in sorted key order).
+// fields are emitted in sorted key order). It appends with strconv, not
+// fmt: every memoized isolation lookup builds one, warm cells included.
 func configKey(cfg sim.Config) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "max=%d;pf=%t;jitter=%d", cfg.MaxCycles, cfg.FlashPrefetch, cfg.JitterSeed)
-	writeMap := func(name string, m map[int]int64) {
-		if len(m) == 0 {
-			return
-		}
-		keys := make([]int, 0, len(m))
-		for k := range m {
-			keys = append(keys, k)
-		}
-		sort.Ints(keys)
-		fmt.Fprintf(&b, ";%s=", name)
-		for _, k := range keys {
-			fmt.Fprintf(&b, "%d:%d,", k, m[k])
-		}
+	b := make([]byte, 0, 64)
+	b = strconv.AppendInt(append(b, "max="...), cfg.MaxCycles, 10)
+	b = strconv.AppendBool(append(b, ";pf="...), cfg.FlashPrefetch)
+	b = strconv.AppendUint(append(b, ";jitter="...), cfg.JitterSeed, 10)
+	b = appendIntMap(b, ";stall=", cfg.StallBudgets)
+	b = appendIntMap(b, ";prio=", cfg.SRIPriorities)
+	return string(b)
+}
+
+// appendIntMap appends tag and the map's k:v, entries in key order; an
+// empty map appends nothing.
+func appendIntMap[V int | int64](b []byte, tag string, m map[int]V) []byte {
+	if len(m) == 0 {
+		return b
 	}
-	writeMap("stall", cfg.StallBudgets)
-	if len(cfg.SRIPriorities) > 0 {
-		keys := make([]int, 0, len(cfg.SRIPriorities))
-		for k := range cfg.SRIPriorities {
-			keys = append(keys, k)
-		}
-		sort.Ints(keys)
-		b.WriteString(";prio=")
-		for _, k := range keys {
-			fmt.Fprintf(&b, "%d:%d,", k, cfg.SRIPriorities[k])
-		}
+	keys := make([]int, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	return b.String()
+	sort.Ints(keys)
+	b = append(b, tag...)
+	for _, k := range keys {
+		b = strconv.AppendInt(b, int64(k), 10)
+		b = strconv.AppendInt(append(b, ':'), int64(m[k]), 10)
+		b = append(b, ',')
+	}
+	return b
 }
 
 // Isolation performs a memoized isolation run. taskKey must canonically

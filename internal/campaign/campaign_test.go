@@ -269,6 +269,11 @@ func TestConfigKeyCanonical(t *testing.T) {
 	if a == c {
 		t.Error("different stall budgets collide")
 	}
+	full := sim.Config{MaxCycles: 5, FlashPrefetch: true, JitterSeed: 7,
+		StallBudgets: map[int]int64{2: 20, 1: 10}, SRIPriorities: map[int]int{0: 1}}
+	if got, want := configKey(full), "max=5;pf=true;jitter=7;stall=1:10,2:20,;prio=0:1,"; got != want {
+		t.Errorf("configKey = %q, want %q", got, want)
+	}
 }
 
 // TestEngineParallelRuns exercises the pool with real simulations under

@@ -11,7 +11,10 @@
 // construct Readings literals directly from the paper's Table 6.
 package dsu
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Counter identifies one DSU debug counter.
 type Counter int
@@ -178,6 +181,18 @@ func (r Readings) Sub(start Readings) Readings {
 		DMC:  r.DMC - start.DMC,
 		DMD:  r.DMD - start.DMD,
 	}
+}
+
+// AppendKey appends the field-tagged rendering of r that cache keys are
+// built from. It uses strconv, not fmt: key builders run on every cache
+// probe.
+func AppendKey(b []byte, r Readings) []byte {
+	b = strconv.AppendInt(append(b, 'c'), r.CCNT, 10)
+	b = strconv.AppendInt(append(b, ",ps"...), r.PS, 10)
+	b = strconv.AppendInt(append(b, ",ds"...), r.DS, 10)
+	b = strconv.AppendInt(append(b, ",pm"...), r.PM, 10)
+	b = strconv.AppendInt(append(b, ",mc"...), r.DMC, 10)
+	return strconv.AppendInt(append(b, ",md"...), r.DMD, 10)
 }
 
 // String renders the readings in Table 6 column order.

@@ -18,6 +18,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"sync"
 
 	"repro/internal/calib"
@@ -182,7 +183,7 @@ func buildApp(sc workload.Scenario, iterations int) (trace.Source, error) {
 // appIsolation measures the analysed application in isolation, memoized
 // per (latency table, scenario, iteration count).
 func (r Runner) appIsolation(ctx context.Context, lat platform.LatencyTable, sc workload.Scenario, iterations int) (dsu.Readings, error) {
-	key := fmt.Sprintf("app/sc%d/iters%d/tc16p", sc, iterations)
+	key := "app/sc" + strconv.Itoa(int(sc)) + "/iters" + strconv.Itoa(iterations) + "/tc16p"
 	res, err := r.eng.Isolation(ctx, lat, AnalysedCore, key, sim.Config{}, func() (sim.Task, error) {
 		src, err := buildApp(sc, iterations)
 		if err != nil {
@@ -305,7 +306,7 @@ func buildContender(sc workload.Scenario, lv workload.Level, bursts int) (trace.
 // condition under which the ILP-PTAC contender constraints (Eq. 22-23)
 // are sound.
 func (r Runner) contenderReadings(ctx context.Context, lat platform.LatencyTable, sc workload.Scenario, lv workload.Level, bursts int) (dsu.Readings, error) {
-	key := fmt.Sprintf("cont/sc%d/%s/bursts%d/tc16p", sc, lv, bursts)
+	key := "cont/sc" + strconv.Itoa(int(sc)) + "/" + lv.String() + "/bursts" + strconv.Itoa(bursts) + "/tc16p"
 	res, err := r.eng.Isolation(ctx, lat, ContenderCore, key, sim.Config{}, func() (sim.Task, error) {
 		src, err := buildContender(sc, lv, bursts)
 		if err != nil {

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -429,6 +430,67 @@ func TestSubmitValidation(t *testing.T) {
 		t.Fatalf("post-cancel submit: %v", err)
 	}
 	waitState(t, m, st2.ID, StateDone)
+}
+
+// TestActiveCountAcrossManyJobs submits job after job: every round fills
+// MaxActive, the next submission is refused, and once the round is
+// cancelled the jobs_active gauge is back at 0 and the slots admit again.
+// An interactive cell holds the engine's one slot meanwhile, so no
+// background cell runs and no job can finish on its own mid-round.
+func TestActiveCountAcrossManyJobs(t *testing.T) {
+	const maxActive, rounds = 3, 5
+	eng := campaign.New(1)
+	m, err := Open(Config{Engine: eng, Store: newStore(t), MaxActive: maxActive})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeNow(t, m)
+	held, release := make(chan struct{}), make(chan struct{})
+	var releaseOnce sync.Once
+	unblock := func() { releaseOnce.Do(func() { close(release) }) }
+	defer unblock()
+	go campaign.AllAt(context.Background(), eng, campaign.Interactive, []campaign.Job[struct{}]{
+		func(context.Context) (struct{}, error) { close(held); <-release; return struct{}{}, nil },
+	})
+	<-held
+
+	for r := 0; r < rounds; r++ {
+		var ids []string
+		for i := 0; i < maxActive; i++ {
+			st, err := m.Submit(smallSpec(), "tc27x/default")
+			if err != nil {
+				t.Fatalf("round %d submit %d: %v", r, i, err)
+			}
+			ids = append(ids, st.ID)
+		}
+		if got := mActive.Value(); got != maxActive {
+			t.Fatalf("round %d: jobs_active = %d, want %d", r, got, maxActive)
+		}
+		if _, err := m.Submit(smallSpec(), "tc27x/default"); !errors.Is(err, ErrTooManyJobs) {
+			t.Fatalf("round %d: over max-active submit: %v", r, err)
+		}
+		for _, id := range ids {
+			if _, err := m.Cancel(id); err != nil {
+				t.Fatal(err)
+			}
+			waitState(t, m, id, StateCanceled)
+		}
+		if got := mActive.Value(); got != 0 {
+			t.Fatalf("round %d: jobs_active = %d after cancelling, want 0", r, got)
+		}
+	}
+	unblock()
+	st, err := m.Submit(smallSpec(), "tc27x/default")
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, m, st.ID, StateDone)
+	if got := mActive.Value(); got != 0 {
+		t.Fatalf("jobs_active = %d after the last job finished, want 0", got)
+	}
+	if n := len(m.List()); n != rounds*maxActive+1 {
+		t.Fatalf("%d jobs retained, want %d", n, rounds*maxActive+1)
+	}
 }
 
 // TestInMemoryManager: Dir-less managers serve artifacts from memory.

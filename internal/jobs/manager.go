@@ -96,8 +96,12 @@ type Manager struct {
 	stop    context.CancelFunc
 	wg      sync.WaitGroup
 
-	mu      sync.Mutex
-	jobs    map[string]*job
+	mu   sync.Mutex
+	jobs map[string]*job
+	// active counts the pending and running jobs: raised on admission and
+	// resume, lowered at the terminal transition, so admission and the
+	// jobs_active gauge never scan the retained jobs.
+	active  int
 	closing bool
 }
 
@@ -206,6 +210,10 @@ func (m *Manager) loadAll() error {
 		}
 		m.jobs[id] = j
 	}
+	m.mu.Lock()
+	m.active += len(resume)
+	mActive.Set(int64(m.active))
+	m.mu.Unlock()
 	for _, j := range resume {
 		jctx, cancel := context.WithCancel(m.baseCtx)
 		j.cancel = cancel
@@ -216,7 +224,6 @@ func (m *Manager) loadAll() error {
 		m.wg.Add(1)
 		go m.run(jctx, j, nil)
 	}
-	m.updateActiveGauge()
 	return nil
 }
 
@@ -323,17 +330,10 @@ func (m *Manager) Submit(spec Spec, defaultTable string) (Status, error) {
 		m.mu.Unlock()
 		return Status{}, ErrClosed
 	}
-	active := 0
-	for _, j := range m.jobs {
-		j.mu.Lock()
-		if !j.meta.State.Terminal() {
-			active++
-		}
-		j.mu.Unlock()
-	}
-	if active >= m.cfg.MaxActive {
+	if m.active >= m.cfg.MaxActive {
+		err := fmt.Errorf("%w (%d active, max %d)", ErrTooManyJobs, m.active, m.cfg.MaxActive)
 		m.mu.Unlock()
-		return Status{}, fmt.Errorf("%w (%d active, max %d)", ErrTooManyJobs, active, m.cfg.MaxActive)
+		return Status{}, err
 	}
 	j := &job{
 		meta:   meta,
@@ -343,6 +343,8 @@ func (m *Manager) Submit(spec Spec, defaultTable string) (Status, error) {
 	jctx, cancel := context.WithCancel(m.baseCtx)
 	j.cancel = cancel
 	m.jobs[id] = j
+	m.active++
+	mActive.Set(int64(m.active))
 	m.mu.Unlock()
 
 	if m.cfg.Dir != "" {
@@ -361,7 +363,6 @@ func (m *Manager) Submit(spec Spec, defaultTable string) (Status, error) {
 		}
 	}
 	mSubmitted.Inc()
-	m.updateActiveGauge()
 	m.cfg.Logger.Info("jobs: submitted", "id", id, "cells", meta.TotalCells, "baseTable", meta.BaseTable)
 	m.wg.Add(1)
 	go m.run(jctx, j, plan)
@@ -372,6 +373,8 @@ func (m *Manager) Submit(spec Spec, defaultTable string) (Status, error) {
 func (m *Manager) dropJob(id string) {
 	m.mu.Lock()
 	delete(m.jobs, id)
+	m.active--
+	mActive.Set(int64(m.active))
 	m.mu.Unlock()
 }
 
@@ -570,9 +573,16 @@ func (m *Manager) fanout(j *job, ev Event, terminal bool) {
 }
 
 // finish moves j to a terminal state, persists it and emits the terminal
-// event.
+// event. The active count drops under the same locks as the state
+// changes, so a submission that sees the job terminal also sees its slot
+// free.
 func (m *Manager) finish(j *job, state State, errText, artifact string) {
+	m.mu.Lock()
 	j.mu.Lock()
+	if !j.meta.State.Terminal() {
+		m.active--
+		mActive.Set(int64(m.active))
+	}
 	j.meta.State = state
 	j.meta.Error = errText
 	j.meta.Artifact = artifact
@@ -581,12 +591,12 @@ func (m *Manager) finish(j *job, state State, errText, artifact string) {
 	j.log = append(j.log, ev)
 	m.fanout(j, ev, true)
 	j.mu.Unlock()
+	m.mu.Unlock()
 
 	if err := m.persistMeta(meta); err != nil {
 		m.cfg.Logger.Error("jobs: persisting terminal state failed", "id", meta.ID, "err", err)
 	}
 	mFinished.With(string(state)).Inc()
-	m.updateActiveGauge()
 	m.cfg.Logger.Info("jobs: finished", "id", meta.ID, "state", string(state), "artifact", artifact, "err", errText)
 }
 
@@ -598,21 +608,6 @@ func (m *Manager) fail(j *job, err error) {
 		text = text[:maxErrText] + " …"
 	}
 	m.finish(j, StateFailed, text, "")
-}
-
-// updateActiveGauge republishes the active-jobs gauge.
-func (m *Manager) updateActiveGauge() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	active := int64(0)
-	for _, j := range m.jobs {
-		j.mu.Lock()
-		if !j.meta.State.Terminal() {
-			active++
-		}
-		j.mu.Unlock()
-	}
-	mActive.Set(active)
 }
 
 // Get returns a job's status.

@@ -53,11 +53,11 @@ func requestKey(reg *wcet.Registry, v apiVersion, req V2Request) string {
 	b = strconv.AppendInt(append(b, ";sc="...), int64(req.Scenario), 10)
 	b = append(append(b, ";mode="...), canonStallMode(req.StallMode)...)
 	b = strconv.AppendBool(append(b, ";drop="...), req.DropContenderInfo)
-	b = appendReadings(append(b, ";a="...), req.Analysed)
+	b = dsu.AppendKey(append(b, ";a="...), req.Analysed)
 
 	cs := make([]string, len(req.Contenders))
 	for i, c := range req.Contenders {
-		cs[i] = string(appendReadings(nil, c))
+		cs[i] = string(dsu.AppendKey(nil, c))
 	}
 	sort.Strings(cs)
 	b = append(append(b, ";b="...), strings.Join(cs, "|")...)
@@ -133,15 +133,6 @@ func canonStallMode(s string) string {
 		return "budget"
 	}
 	return s
-}
-
-func appendReadings(b []byte, r dsu.Readings) []byte {
-	b = strconv.AppendInt(append(b, 'c'), r.CCNT, 10)
-	b = strconv.AppendInt(append(b, ",ps"...), r.PS, 10)
-	b = strconv.AppendInt(append(b, ",ds"...), r.DS, 10)
-	b = strconv.AppendInt(append(b, ",pm"...), r.PM, 10)
-	b = strconv.AppendInt(append(b, ",mc"...), r.DMC, 10)
-	return strconv.AppendInt(append(b, ",md"...), r.DMD, 10)
 }
 
 func appendRTATask(b []byte, t RTATask) []byte {

@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"log/slog"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -13,8 +15,14 @@ import (
 	"time"
 )
 
+// newTestServer serves cfg on an httptest server. Without a Logger of its
+// own the server logs to io.Discard, so the slow-request span dumps of
+// the tail-sampling tests don't bury a failure's output.
 func newTestServer(t testing.TB, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
+	if cfg.Logger == nil {
+		cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
+	}
 	s := New(cfg, nil)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)

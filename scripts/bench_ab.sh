@@ -9,8 +9,11 @@
 # `perfbench/run.sh --trace 0` in both trees, base first in odd pairs and
 # head first in even ones, for BENCHMARK.json's run_seconds. One traced
 # figure4 run per side follows. Every result line lands in bench-ab.jsonl,
-# tagged with side, workload, seed and trace, and scripts/benchab judges
-# the file (docs/BENCHMARKING.md gives the decision rule).
+# tagged with side, workload, seed and trace. The script then checks that
+# every workload BENCHMARK.json declares has a run for each side and seed,
+# and scripts/benchab judges the file (docs/BENCHMARKING.md gives the
+# decision rule). benchab itself judges whichever workloads a file holds,
+# so this completeness check is what keeps a partial A/B from passing.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -22,7 +25,12 @@ base_rev="$(git rev-parse --verify "$1^{commit}")"
 head_dir="$(pwd)"
 out="$head_dir/bench-ab.jsonl"
 secs="$(sed -n 's/.*"run_seconds": *\([0-9][0-9]*\).*/\1/p' BENCHMARK.json)"
-workloads=(figure4 serve campaign)
+read -ra workloads <<<"$(sed -n 's/.*{"name": *"\([^"]*\)", *"why".*/\1/p' BENCHMARK.json | tr '\n' ' ')"
+if [ ${#workloads[@]} -eq 0 ]; then
+  echo "bench_ab: no workloads found in BENCHMARK.json" >&2
+  exit 1
+fi
+seeds=(1 2 3)
 
 tmp="$(mktemp -d)"
 cleanup() {
@@ -51,7 +59,7 @@ run() {
 }
 
 pair=0
-for seed in 1 2 3; do
+for seed in "${seeds[@]}"; do
   for wl in "${workloads[@]}"; do
     pair=$((pair + 1))
     if [ $((pair % 2)) -eq 1 ]; then
@@ -65,5 +73,16 @@ for seed in 1 2 3; do
 done
 run base figure4 1 1
 run head figure4 1 1
+
+for wl in "${workloads[@]}"; do
+  for side in base head; do
+    for seed in "${seeds[@]}"; do
+      if ! grep -q "^{\"side\":\"$side\",\"workload\":\"$wl\",\"seed\":$seed,\"trace\":0," "$out"; then
+        echo "bench_ab: no $side $wl seed $seed run in $out" >&2
+        exit 1
+      fi
+    done
+  done
+done
 
 go run ./scripts/benchab BENCHMARK.json "$out"

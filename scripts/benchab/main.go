@@ -4,8 +4,10 @@
 //
 // The results file is what scripts/bench_ab.sh writes: one perfbench
 // result line per run, tagged with side (base or head), workload, seed and
-// trace. The verdict is a pure function of the two files. The A/B fails
-// (exit 1) when
+// trace. The verdict is a pure function of the two files. It judges each
+// BENCHMARK.json workload the file holds runs of, so a follow-up A/B of
+// one workload is judged by the same rules; scripts/bench_ab.sh requires
+// every workload before it calls benchab. The A/B fails (exit 1) when
 //
 //   - an end_to_end metric's head median is worse than the base median by
 //     more than the metric's bound and head is worse in every seed pair
@@ -16,7 +18,9 @@
 //     its ilp.nodes rose. These are last-pass counts over fixed inputs,
 //     so they are exact.
 //
-// Incomplete input (a workload or metric missing on either side) fails too.
+// Incomplete input fails too: a workload the file holds with different
+// seeds on the two sides, a metric missing, figure4 without its traced
+// runs, a workload BENCHMARK.json does not declare, or no runs at all.
 package main
 
 import (
@@ -103,6 +107,10 @@ func judge(specData, results []byte, w io.Writer) (bool, error) {
 	// untraced[side][workload][seed]; traced[side] is the figure4 trace run.
 	untraced := map[string]map[string]map[int]*run{"base": {}, "head": {}}
 	traced := map[string]*run{}
+	declared, present := map[string]bool{}, map[string]bool{}
+	for _, wl := range sp.Workloads {
+		declared[wl.Name] = true
+	}
 	var all []*run
 	sc := bufio.NewScanner(bytes.NewReader(results))
 	sc.Buffer(nil, 1<<20)
@@ -118,6 +126,10 @@ func judge(specData, results []byte, w io.Writer) (bool, error) {
 		if !ok {
 			return false, fmt.Errorf("results line %d: side %q, want base or head", n, r.Side)
 		}
+		if !declared[r.Workload] {
+			return false, fmt.Errorf("results line %d: workload %q is not in the benchmark spec", n, r.Workload)
+		}
+		present[r.Workload] = true
 		all = append(all, r)
 		if r.Trace == 1 {
 			if r.Workload == "figure4" {
@@ -136,6 +148,9 @@ func judge(specData, results []byte, w io.Writer) (bool, error) {
 	if err := sc.Err(); err != nil {
 		return false, err
 	}
+	if len(all) == 0 {
+		return false, fmt.Errorf("no runs in the results file")
+	}
 
 	pass := true
 	fmt.Fprintf(w, "%-9s %-16s %12s %12s %9s %5s  %s\n", "workload", "metric", "base", "head", "head/base", "won", "verdict")
@@ -146,6 +161,10 @@ func judge(specData, results []byte, w io.Writer) (bool, error) {
 		}
 	}
 	for _, wl := range sp.Workloads {
+		if !present[wl.Name] {
+			fmt.Fprintf(w, "%-9s no runs in the results file, not judged\n", wl.Name)
+			continue
+		}
 		base, head := untraced["base"][wl.Name], untraced["head"][wl.Name]
 		seeds := make([]int, 0, len(base))
 		for s := range base {
@@ -193,11 +212,29 @@ func judge(specData, results []byte, w io.Writer) (bool, error) {
 		fmt.Fprintf(w, "%-9s %-16s %12.4g %12.4g %9s %5s  %s\n", wl.Name, "failed_share", bs, hs, "", "", verdict)
 	}
 
-	tb, th := traced["base"], traced["head"]
+	if present["figure4"] {
+		ok, err := judgeCounters(traced["base"], traced["head"], w)
+		if err != nil {
+			return false, err
+		}
+		pass = pass && ok
+	}
+
+	if pass {
+		fmt.Fprintln(w, "benchab: PASS")
+	} else {
+		fmt.Fprintln(w, "benchab: FAIL")
+	}
+	return pass, nil
+}
+
+// judgeCounters compares the traced figure4 runs: the simulated counts
+// must be equal, and ilp.nodes may fall but not rise.
+func judgeCounters(tb, th *run, w io.Writer) (bool, error) {
 	if tb == nil || th == nil {
 		return false, fmt.Errorf("want one traced figure4 run per side")
 	}
-	// The simulated counts must be equal; ilp.nodes may fall but not rise.
+	pass := true
 	for _, c := range []string{"sim.cycles", "sri.grants", "sri.wait_cycles", "dsu.stall_cycles", "ilp.nodes"} {
 		b, okb := tb.Result.Metrics[c]
 		h, okh := th.Result.Metrics[c]
@@ -209,12 +246,6 @@ func judge(specData, results []byte, w io.Writer) (bool, error) {
 			verdict, pass = "FAIL", false
 		}
 		fmt.Fprintf(w, "%-9s %-16s %12.0f %12.0f %9.3f %5s  %s\n", "figure4", c, b.Value, h.Value, h.Value/b.Value, "", verdict)
-	}
-
-	if pass {
-		fmt.Fprintln(w, "benchab: PASS")
-	} else {
-		fmt.Fprintln(w, "benchab: FAIL")
 	}
 	return pass, nil
 }

@@ -19,6 +19,7 @@ const testSpec = `{
 
 // line is one result line before encoding.
 type line struct {
+	workload  string // "" is figure4
 	side      string
 	seed      int
 	trace     int
@@ -51,8 +52,12 @@ func encode(t *testing.T, ls []*line) []byte {
 		for k, v := range l.metrics {
 			metrics[k] = map[string]float64{"value": v}
 		}
+		wl := l.workload
+		if wl == "" {
+			wl = "figure4"
+		}
 		data, err := json.Marshal(map[string]any{
-			"side": l.side, "workload": "figure4", "seed": l.seed, "trace": l.trace,
+			"side": l.side, "workload": wl, "seed": l.seed, "trace": l.trace,
 			"result": map[string]any{"correct": l.correct, "attempted": l.attempted, "failed": l.failed, "metrics": metrics},
 		})
 		if err != nil {
@@ -188,5 +193,92 @@ func TestBenchmarkSpec(t *testing.T) {
 		if (m.Better != "lower" && m.Better != "higher") || m.Bound <= 0 {
 			t.Errorf("end_to_end %s: better %q bound %v", m.Name, m.Better, m.Bound)
 		}
+	}
+}
+
+// twoWorkloadSpec declares figure4 and campaign with testSpec's metrics.
+const twoWorkloadSpec = `{
+  "workloads": [{"name": "figure4"}, {"name": "campaign"}],
+  "end_to_end": [
+    {"name": "lat_p50_ms", "better": "lower", "bound": 0.25},
+    {"name": "ops_per_s", "better": "higher", "bound": 0.25}
+  ]
+}`
+
+// campaignOnly is a follow-up A/B of one workload: three campaign seed
+// pairs and no figure4 runs, traced or not.
+func campaignOnly() []*line {
+	var ls []*line
+	for _, l := range fixture() {
+		if l.trace == 0 {
+			l.workload = "campaign"
+			ls = append(ls, l)
+		}
+	}
+	return ls
+}
+
+// TestJudgeWorkloadSubset judges a file holding one of the declared
+// workloads: the absent one is reported as not judged, and the present
+// one keeps every rule.
+func TestJudgeWorkloadSubset(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func([]*line)
+		pass bool
+		want []string
+	}{
+		{"identical", func([]*line) {}, true, []string{
+			"figure4   no runs in the results file, not judged",
+			"campaign  lat_p50_ms                100          100     1.000  0/3   ok",
+			"benchab: PASS",
+		}},
+		{"beyond-bound slowdown losing every pair", func(ls []*line) {
+			set(ls, "head", "lat_p50_ms", 140, 135, 150)
+		}, false, []string{"campaign  lat_p50_ms                100          140     1.400  0/3   FAIL"}},
+		{"higher failed share", func(ls []*line) {
+			ls[4].failed = 1
+		}, false, []string{"campaign  failed_share"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ls := campaignOnly()
+			tc.edit(ls)
+			var out strings.Builder
+			pass, err := judge([]byte(twoWorkloadSpec), encode(t, ls), &out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pass != tc.pass {
+				t.Errorf("pass = %t, want %t in\n%s", pass, tc.pass, out.String())
+			}
+			for _, want := range tc.want {
+				if !strings.Contains(out.String(), want) {
+					t.Errorf("want %q in\n%s", want, out.String())
+				}
+			}
+		})
+	}
+
+	for _, tc := range []struct {
+		name string
+		ls   []*line
+		want string
+	}{
+		{"head seed missing", campaignOnly()[:5], "campaign seed 3: no head run"},
+		{"figure4 traced runs alone", append(campaignOnly(), traced(fixture(), "base"), traced(fixture(), "head")),
+			"figure4: want the same seeds on both sides, have base 0 head 0 runs"},
+		{"undeclared workload", func() []*line {
+			ls := campaignOnly()
+			ls[0].workload = "serve"
+			return ls
+		}(), `workload "serve" is not in the benchmark spec`},
+		{"no runs", nil, "no runs in the results file"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := judge([]byte(twoWorkloadSpec), encode(t, tc.ls), &strings.Builder{})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("err = %v, want %q", err, tc.want)
+			}
+		})
 	}
 }

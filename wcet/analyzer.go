@@ -2,6 +2,7 @@ package wcet
 
 import (
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"runtime"
 	"sync"
@@ -135,7 +136,9 @@ func WithModels(names ...string) Option {
 
 // WithCache gives the Analyzer an LRU of the given capacity over
 // (model, input) estimates, so identical cells across repeated analyses
-// cost a map lookup instead of a solve.
+// cost a map lookup instead of a solve. Hits are served inline in the
+// calling goroutine, without taking a concurrency slot; only the misses
+// fan out to solves.
 func WithCache(entries int) Option {
 	return func(a *Analyzer) error {
 		if entries <= 0 {
@@ -437,69 +440,101 @@ func scenarioIsZero(sc Scenario) bool {
 		!sc.CodeCountExact && !sc.CacheableDataFloor
 }
 
-// fanOut evaluates the models concurrently, bounded by the caller's
-// semaphore, consulting the estimate cache around each solve.
+// fanOut evaluates the models. The input is rendered and hashed once,
+// every model's estimate-cache entry is probed in the calling goroutine,
+// and only the misses go on to solve — a warm call starts no goroutine.
 func (a *Analyzer) fanOut(ctx context.Context, names []string, in Input, sem chan struct{}) ([]ModelEstimate, error) {
-	out := make([]ModelEstimate, len(names))
-	errs := make([]error, len(names))
-	var wg sync.WaitGroup
-	for i, name := range names {
-		model, err := a.reg.Resolve(name)
-		if err != nil {
-			// The set was canonicalized against the same registry; a miss
-			// here means the model was unregistered mid-flight.
-			return nil, err
-		}
-		wg.Add(1)
-		go func(i int, name string, model ContentionModel) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			mctx, span := telemetry.StartSpan(ctx, "model:"+name)
-			est, cached, err := a.estimateCached(mctx, name, model, in)
-			if err != nil {
-				span.End()
-				errs[i] = fmt.Errorf("wcet: model %s: %w", name, err)
-				return
-			}
-			if span != nil {
-				span.SetAttr("cached", cached)
-				span.SetAttr("nodes", est.Nodes)
-				span.SetAttr("warmStarts", est.WarmStarts)
-				span.End()
-			}
-			mEstimates.With(name).Inc()
-			out[i] = ModelEstimate{Name: name, Estimate: est}
-		}(i, name, model)
+	var digest [sha256.Size]byte
+	if a.cache != nil {
+		digest = inputDigest(in)
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
+	out := make([]ModelEstimate, len(names))
+	var misses []int
+	for i, name := range names {
+		if a.cache != nil {
+			if est, ok := a.cache.get(estimateKey{model: name, input: digest}); ok {
+				mEstCacheHits.Inc()
+				_, span := modelSpan(ctx, name)
+				out[i] = served(span, name, est, true)
+				continue
+			}
+			mEstCacheMisses.Inc()
+		}
+		misses = append(misses, i)
+	}
+	if len(misses) > 0 {
+		if err := a.solve(ctx, names, misses, digest, in, sem, out); err != nil {
 			return nil, err
 		}
 	}
 	return out, nil
 }
 
-// estimateCached wraps one model evaluation with the optional LRU; the
-// returned bool reports whether the cache served it.
-func (a *Analyzer) estimateCached(ctx context.Context, name string, model ContentionModel, in Input) (Estimate, bool, error) {
-	if a.cache == nil {
-		est, err := a.timedEstimate(ctx, name, model, in)
-		return est, false, err
+// solve evaluates the missed models concurrently, bounded by the caller's
+// semaphore, fills their slots of out and caches each estimate. The
+// first error in model order fails the call.
+func (a *Analyzer) solve(ctx context.Context, names []string, misses []int, digest [sha256.Size]byte, in Input, sem chan struct{}, out []ModelEstimate) error {
+	models := make([]ContentionModel, len(misses))
+	for k, i := range misses {
+		model, err := a.reg.Resolve(names[i])
+		if err != nil {
+			// The set was canonicalized against the same registry; a miss
+			// here means the model was unregistered mid-flight.
+			return err
+		}
+		models[k] = model
 	}
-	key := canonKey(name, in)
-	if est, ok := a.cache.get(key); ok {
-		mEstCacheHits.Inc()
-		return est, true, nil
+	errs := make([]error, len(misses))
+	var wg sync.WaitGroup
+	for k, i := range misses {
+		wg.Add(1)
+		go func(k, i int) {
+			defer wg.Done()
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			name := names[i]
+			mctx, span := modelSpan(ctx, name)
+			est, err := a.timedEstimate(mctx, name, models[k], in)
+			if err != nil {
+				span.End()
+				errs[k] = fmt.Errorf("wcet: model %s: %w", name, err)
+				return
+			}
+			if a.cache != nil {
+				a.cache.put(estimateKey{model: name, input: digest}, est)
+			}
+			out[i] = served(span, name, est, false)
+		}(k, i)
 	}
-	mEstCacheMisses.Inc()
-	est, err := a.timedEstimate(ctx, name, model, in)
-	if err != nil {
-		return Estimate{}, false, err
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
 	}
-	a.cache.put(key, est)
-	return est, false, nil
+	return nil
+}
+
+// modelSpan opens a model's "model:<name>" span, building the name only
+// when ctx carries a trace.
+func modelSpan(ctx context.Context, name string) (context.Context, *telemetry.Span) {
+	if !telemetry.Active(ctx) {
+		return ctx, nil
+	}
+	return telemetry.StartSpan(ctx, "model:"+name)
+}
+
+// served closes a model's span with its cost attributes, counts the
+// estimate and labels it with the model's canonical name.
+func served(span *telemetry.Span, name string, est Estimate, cached bool) ModelEstimate {
+	if span != nil {
+		span.SetAttr("cached", cached)
+		span.SetAttr("nodes", est.Nodes)
+		span.SetAttr("warmStarts", est.WarmStarts)
+		span.End()
+	}
+	mEstimates.With(name).Inc()
+	return ModelEstimate{Name: name, Estimate: est}
 }
 
 // timedEstimate runs the real solve under the per-model latency

@@ -5,21 +5,21 @@ import (
 	"sync"
 )
 
-// estimateCache is a mutex-guarded LRU of model estimates keyed by
-// canonical (model, input) hash — the Analyzer-level analogue of the
+// estimateCache is a mutex-guarded LRU of model estimates keyed by model
+// name and canonical input digest — the Analyzer-level analogue of the
 // serving layer's response cache, for callers (experiment grids, repeated
 // integration runs) that re-evaluate identical cells.
 type estimateCache struct {
 	mu    sync.Mutex
 	cap   int
 	order *list.List // front = most recently used
-	items map[string]*list.Element
+	items map[estimateKey]*list.Element
 
 	hits, misses int64
 }
 
 type estimateEntry struct {
-	key string
+	key estimateKey
 	est Estimate
 }
 
@@ -27,11 +27,11 @@ func newEstimateCache(capacity int) *estimateCache {
 	return &estimateCache{
 		cap:   capacity,
 		order: list.New(),
-		items: make(map[string]*list.Element, capacity),
+		items: make(map[estimateKey]*list.Element, capacity),
 	}
 }
 
-func (c *estimateCache) get(key string) (Estimate, bool) {
+func (c *estimateCache) get(key estimateKey) (Estimate, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
@@ -44,7 +44,7 @@ func (c *estimateCache) get(key string) (Estimate, bool) {
 	return el.Value.(*estimateEntry).est, true
 }
 
-func (c *estimateCache) put(key string, est Estimate) {
+func (c *estimateCache) put(key estimateKey, est Estimate) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
