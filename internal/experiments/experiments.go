@@ -197,12 +197,16 @@ func (r Runner) appIsolation(ctx context.Context, lat platform.LatencyTable, sc 
 	return res.Readings[AnalysedCore], nil
 }
 
+// coreScenarios are the two scenarios' tailorings, built once: every
+// cell shares their deployment slices, read-only.
+var coreScenarios = [2]core.Scenario{core.Scenario1(), core.Scenario2()}
+
 // coreScenario maps the workload scenario tag to the model's tailoring.
 func coreScenario(sc workload.Scenario) core.Scenario {
 	if sc == workload.Scenario2 {
-		return core.Scenario2()
+		return coreScenarios[1]
 	}
-	return core.Scenario1()
+	return coreScenarios[0]
 }
 
 // analyzerKey identifies one shared Analyzer: the cell's (possibly

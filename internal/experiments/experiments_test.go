@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -266,6 +268,17 @@ func TestCoreScenarioMapping(t *testing.T) {
 	}
 	if !coreScenario(workload.Scenario2).CacheableDataFloor {
 		t.Error("scenario 2 must carry the data floor")
+	}
+}
+
+// TestSharedScenariosUnmutated pins that the scenarios every cell shares
+// come out of a sweep over both of them as they were built.
+func TestSharedScenariosUnmutated(t *testing.T) {
+	if _, err := NewRunner(nil).Sweep(context.Background(), lat, Grid{AppIterations: 60}); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(coreScenarios, [2]core.Scenario{core.Scenario1(), core.Scenario2()}) {
+		t.Fatalf("a cell mutated the shared scenarios: %+v", coreScenarios)
 	}
 }
 

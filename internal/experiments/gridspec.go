@@ -326,21 +326,6 @@ type Artifact struct {
 	Points []PointJSON `json:"points"`
 }
 
-// EncodeArtifact renders points with the canonical artifact encoding
-// (two-space indent, trailing newline). The bytes are a pure function of
-// the points, so an artifact's content address is reproducible: the same
-// grid solved twice — or interrupted and resumed — encodes identically.
-func EncodeArtifact(points []PointJSON) ([]byte, error) {
-	if points == nil {
-		points = []PointJSON{}
-	}
-	data, err := json.MarshalIndent(Artifact{Points: points}, "", "  ")
-	if err != nil {
-		return nil, fmt.Errorf("experiments: encoding artifact: %w", err)
-	}
-	return append(data, '\n'), nil
-}
-
 // WirePoints lowers a full sweep to artifact form.
 func WirePoints(points []SweepPoint) []PointJSON {
 	out := make([]PointJSON, len(points))

@@ -59,6 +59,7 @@ func BenchmarkSweepMemoized(b *testing.B) {
 	if _, err := r.Sweep(context.Background(), lat, benchGrid); err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := r.Sweep(context.Background(), lat, benchGrid); err != nil {

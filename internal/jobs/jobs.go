@@ -12,19 +12,28 @@
 // daemon resumes every non-terminal job on restart from its last good
 // checkpoint line — a torn or tampered tail is truncated and those cells
 // re-solved, which is safe because cells are deterministic in their
-// inputs. The finished
-// artifact is a content-addressed JSON file; its name is the SHA-256 of
-// its bytes, verified on every read, so a half-written or tampered
-// artifact is never served. Because the artifact wire form excludes
-// run-variant solver diagnostics, a resumed job's artifact is
-// byte-identical to an uninterrupted run's.
+// inputs. The finished artifact is a content-addressed JSON file; its
+// name is the SHA-256 of its bytes, verified on every read, so a
+// half-written or tampered artifact is never served. Because the
+// artifact wire form excludes run-variant solver diagnostics, a resumed
+// job's artifact is byte-identical to an uninterrupted run's.
+//
+// Each cell is encoded once, when it is recorded (or restored from its
+// checkpoint): its compact point bytes are the checkpoint record and sit
+// inside its progress event, which the job log keeps encoded (Encoded),
+// so streams only frame those bytes. The artifact is encoded once, from
+// the solved points, when the last cell is in; a finished job then drops
+// its points.
 package jobs
 
 import (
+	"bytes"
 	"crypto/rand"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"strconv"
 
 	"repro/internal/experiments"
 )
@@ -91,10 +100,12 @@ type Status struct {
 	DoneCells int `json:"doneCells"`
 }
 
-// Event is one entry of a job's progress stream. Cell events are
-// numbered 1..N in completion order (their Seq doubles as the SSE event
-// ID, so Last-Event-ID resume replays exactly the missed suffix);
-// a terminal state event follows with the next Seq.
+// Event is one entry of a job's progress stream, in the shape its JSON
+// takes on the wire. Cell events are numbered 1..N in completion order
+// (their Seq doubles as the SSE event ID, so Last-Event-ID resume replays
+// exactly the missed suffix); a terminal state event follows with the
+// next Seq. The job log holds events already encoded (see Encoded);
+// clients decode them into Event.
 type Event struct {
 	Seq int `json:"seq"`
 	// Type is "cell" or "state".
@@ -111,6 +122,54 @@ type Event struct {
 	State    State  `json:"state,omitempty"`
 	Error    string `json:"error,omitempty"`
 	Artifact string `json:"artifact,omitempty"`
+}
+
+// Encoded is one progress event as the job log keeps it and Subscribe
+// hands it out: JSON is byte for byte json.Marshal of the Event, built
+// once when the event is logged, so no stream re-encodes it.
+type Encoded struct {
+	Seq int
+	// Type is the Event's Type, "cell" or "state".
+	Type string
+	JSON []byte
+}
+
+// encodeCell builds a cell event around pt's compact encoding. It
+// returns the event and the point's bytes inside it, which are also the
+// cell's checkpoint record.
+func encodeCell(seq, idx, done, total int, pt *experiments.PointJSON) (Encoded, []byte, error) {
+	var scratch [1024]byte
+	b := append(scratch[:0], `{"seq":`...)
+	b = strconv.AppendInt(b, int64(seq), 10)
+	b = append(b, `,"type":"cell"`...)
+	if idx != 0 { // omitempty
+		b = append(b, `,"index":`...)
+		b = strconv.AppendInt(b, int64(idx), 10)
+	}
+	b = append(b, `,"done":`...)
+	b = strconv.AppendInt(b, int64(done), 10)
+	b = append(b, `,"total":`...)
+	b = strconv.AppendInt(b, int64(total), 10)
+	b = append(b, `,"point":`...)
+	start := len(b)
+	b, err := experiments.AppendPoint(b, pt, false)
+	if err != nil {
+		return Encoded{}, nil, err
+	}
+	end := len(b)
+	data := bytes.Clone(append(b, '}'))
+	return Encoded{Seq: seq, Type: "cell", JSON: data}, data[start:end:end], nil
+}
+
+// encodeState encodes a job's terminal transition as its state event.
+func encodeState(seq int, meta Meta, done int) Encoded {
+	ev := Event{
+		Seq: seq, Type: "state",
+		Done: done, Total: meta.TotalCells,
+		State: meta.State, Error: meta.Error, Artifact: meta.Artifact,
+	}
+	data, _ := json.Marshal(ev) // strings and ints only: cannot fail
+	return Encoded{Seq: seq, Type: ev.Type, JSON: data}
 }
 
 // Typed submission and access errors.

@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"strings"
@@ -66,10 +68,13 @@ func referenceArtifact(t *testing.T, store *tabstore.Store, spec Spec) []byte {
 	return data
 }
 
+// quiet discards a test manager's lifecycle logs.
+var quiet = slog.New(slog.NewTextHandler(io.Discard, nil))
+
 // open builds a manager over dir.
 func open(t *testing.T, dir string, store *tabstore.Store) *Manager {
 	t.Helper()
-	m, err := Open(Config{Dir: dir, Engine: campaign.New(4), Store: store})
+	m, err := Open(Config{Dir: dir, Engine: campaign.New(4), Store: store, Logger: quiet})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,12 +170,15 @@ func TestJobEventsAndSubscribeReplay(t *testing.T) {
 	if len(replay) != 7 { // 6 cells + terminal
 		t.Fatalf("replay length %d, want 7", len(replay))
 	}
-	for i, ev := range replay {
-		if ev.Seq != i+1 {
-			t.Fatalf("event %d has seq %d", i, ev.Seq)
+	var last Event
+	for i, enc := range replay {
+		if err := json.Unmarshal(enc.JSON, &last); err != nil {
+			t.Fatal(err)
+		}
+		if enc.Seq != i+1 || last.Seq != enc.Seq || last.Type != enc.Type {
+			t.Fatalf("event %d is %+v, encoded as seq %d type %q", i, last, enc.Seq, enc.Type)
 		}
 	}
-	last := replay[len(replay)-1]
 	if last.Type != "state" || last.State != StateDone || last.Artifact == "" {
 		t.Fatalf("terminal event %+v", last)
 	}
@@ -190,6 +198,54 @@ func TestJobEventsAndSubscribeReplay(t *testing.T) {
 
 	if _, _, _, err := m.Subscribe("j-nope", 0); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("unknown job subscribe: %v", err)
+	}
+}
+
+// TestConcurrentSubscribers subscribes from several goroutines while a
+// job runs: whenever each one joins, its replay (a shared prefix of the
+// log) and its live events together are the whole log, in order, and
+// every subscriber sees the same bytes for each event.
+func TestConcurrentSubscribers(t *testing.T) {
+	m := open(t, "", newStore(t))
+	defer closeNow(t, m)
+	st, err := m.Submit(smallSpec(), "tc27x/default")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const subscribers = 8
+	got := make([][]Encoded, subscribers)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			time.Sleep(time.Duration(i) * time.Millisecond)
+			replay, live, cancel, err := m.Subscribe(st.ID, 0)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer cancel()
+			got[i] = append(got[i], replay...)
+			for ev := range live {
+				got[i] = append(got[i], ev)
+			}
+		}(i)
+	}
+	wg.Wait()
+	want := got[0]
+	if len(want) != 7 {
+		t.Fatalf("subscriber 0 saw %d events, want 6 cells + terminal", len(want))
+	}
+	for i, evs := range got {
+		if len(evs) != len(want) {
+			t.Fatalf("subscriber %d saw %d events, want %d", i, len(evs), len(want))
+		}
+		for k, ev := range evs {
+			if ev.Seq != k+1 || ev.Type != want[k].Type || !bytes.Equal(ev.JSON, want[k].JSON) {
+				t.Fatalf("subscriber %d event %d = seq %d %s, want seq %d %s", i, k, ev.Seq, ev.JSON, k+1, want[k].JSON)
+			}
+		}
 	}
 }
 
@@ -393,7 +449,7 @@ func TestCancel(t *testing.T) {
 
 func TestSubmitValidation(t *testing.T) {
 	store := newStore(t)
-	m, err := Open(Config{Dir: "", Engine: campaign.New(2), Store: store, MaxActive: 1})
+	m, err := Open(Config{Dir: "", Engine: campaign.New(2), Store: store, MaxActive: 1, Logger: quiet})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +496,7 @@ func TestSubmitValidation(t *testing.T) {
 func TestActiveCountAcrossManyJobs(t *testing.T) {
 	const maxActive, rounds = 3, 5
 	eng := campaign.New(1)
-	m, err := Open(Config{Engine: eng, Store: newStore(t), MaxActive: maxActive})
+	m, err := Open(Config{Engine: eng, Store: newStore(t), MaxActive: maxActive, Logger: quiet})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -496,7 +552,7 @@ func TestActiveCountAcrossManyJobs(t *testing.T) {
 // TestInMemoryManager: Dir-less managers serve artifacts from memory.
 func TestInMemoryManager(t *testing.T) {
 	store := newStore(t)
-	m, err := Open(Config{Engine: campaign.New(4), Store: store})
+	m, err := Open(Config{Engine: campaign.New(4), Store: store, Logger: quiet})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,16 +64,30 @@ type Config struct {
 
 // subscriber is one live progress stream.
 type subscriber struct {
-	ch     chan Event
+	ch     chan Encoded
 	closed bool
 }
 
+// closedStream is the live channel handed to subscribers of a terminal
+// job: closed, so they drain the replay and stop.
+var closedStream = func() chan Encoded {
+	ch := make(chan Encoded)
+	close(ch)
+	return ch
+}()
+
 // job is the in-memory state of one campaign job.
 type job struct {
-	mu     sync.Mutex
-	meta   Meta
+	mu   sync.Mutex
+	meta Meta
+	// points holds each solved cell's point by grid index until the
+	// artifact is encoded; terminal jobs drop it. done counts the solved
+	// cells.
 	points map[int]experiments.PointJSON
-	log    []Event
+	done   int
+	// log is the event log, sized for every cell and the terminal event;
+	// it is append-only, so Subscribe hands out its prefix.
+	log    []Encoded
 	subs   map[*subscriber]struct{}
 	cancel context.CancelFunc
 	// ckpt appends completed cells to the checkpoint log (nil when the
@@ -187,19 +201,19 @@ func (m *Manager) loadAll() error {
 				"id", id, "goodCells", len(load.order), "goodBytes", load.goodBytes)
 		}
 		j := &job{
-			meta:   meta,
-			points: load.points,
-			subs:   make(map[*subscriber]struct{}),
+			meta: meta,
+			log:  make([]Encoded, 0, meta.TotalCells+1),
+			subs: make(map[*subscriber]struct{}),
 		}
-		for i, idx := range load.order {
-			pt := load.points[idx]
-			j.log = append(j.log, Event{
-				Seq: i + 1, Type: "cell", Index: idx,
-				Done: i + 1, Total: meta.TotalCells, Point: &pt,
-			})
+		if !meta.State.Terminal() {
+			j.points = load.points
+		}
+		if err := j.restore(load); err != nil {
+			m.cfg.Logger.Warn("jobs: skipping job with unencodable checkpoint", "id", id, "err", err)
+			continue
 		}
 		if meta.State.Terminal() {
-			j.log = append(j.log, terminalEvent(len(j.log)+1, meta, len(load.points)))
+			j.log = append(j.log, encodeState(len(j.log)+1, meta, j.done))
 		} else {
 			// Cut the unverifiable tail before appends resume.
 			if j.ckpt, err = store.OpenLog(m.ckptPath(id), load.goodBytes); err != nil {
@@ -218,9 +232,9 @@ func (m *Manager) loadAll() error {
 		jctx, cancel := context.WithCancel(m.baseCtx)
 		j.cancel = cancel
 		mResumed.Inc()
-		mCellsRestored.Add(int64(len(j.points)))
+		mCellsRestored.Add(int64(j.done))
 		m.cfg.Logger.Info("jobs: resuming",
-			"id", j.meta.ID, "done", len(j.points), "total", j.meta.TotalCells)
+			"id", j.meta.ID, "done", j.done, "total", j.meta.TotalCells)
 		m.wg.Add(1)
 		go m.run(jctx, j, nil)
 	}
@@ -279,13 +293,28 @@ func readJSONFile(path string, v any) error {
 	return json.Unmarshal(data, v)
 }
 
-// terminalEvent renders a terminal state transition as a stream event.
-func terminalEvent(seq int, meta Meta, done int) Event {
-	return Event{
-		Seq: seq, Type: "state",
-		Done: done, Total: meta.TotalCells,
-		State: meta.State, Error: meta.Error, Artifact: meta.Artifact,
+// restore logs the cells of a checkpoint read back, in log order.
+func (j *job) restore(ck checkpoint) error {
+	for _, idx := range ck.order {
+		pt := ck.points[idx]
+		if _, _, err := j.addCell(idx, &pt); err != nil {
+			return err
+		}
 	}
+	return nil
+}
+
+// addCell logs one solved cell's event; the caller holds j.mu or owns
+// j. The cell is encoded once, here: the point bytes inside its event
+// are returned as the checkpoint record.
+func (j *job) addCell(idx int, pt *experiments.PointJSON) (Encoded, []byte, error) {
+	ev, raw, err := encodeCell(len(j.log)+1, idx, j.done+1, j.meta.TotalCells, pt)
+	if err != nil {
+		return Encoded{}, nil, err
+	}
+	j.done++
+	j.log = append(j.log, ev)
+	return ev, raw, nil
 }
 
 // Submit validates, persists and starts one campaign job. defaultTable
@@ -337,7 +366,8 @@ func (m *Manager) Submit(spec Spec, defaultTable string) (Status, error) {
 	}
 	j := &job{
 		meta:   meta,
-		points: make(map[int]experiments.PointJSON),
+		points: make(map[int]experiments.PointJSON, meta.TotalCells),
+		log:    make([]Encoded, 0, meta.TotalCells+1),
 		subs:   make(map[*subscriber]struct{}),
 	}
 	jctx, cancel := context.WithCancel(m.baseCtx)
@@ -404,7 +434,7 @@ func (m *Manager) run(ctx context.Context, j *job, plan *experiments.SweepPlan) 
 	j.mu.Lock()
 	j.meta.State = StateRunning
 	meta := j.meta
-	done := len(j.points)
+	done := j.done
 	j.mu.Unlock()
 	if err := m.persistMeta(meta); err != nil {
 		m.fail(j, err)
@@ -454,8 +484,7 @@ func (m *Manager) run(ctx context.Context, j *job, plan *experiments.SweepPlan) 
 			if err != nil {
 				return struct{}{}, err
 			}
-			m.recordCell(j, idx, pt.Wire())
-			return struct{}{}, nil
+			return struct{}{}, m.recordCell(j, idx, pt.Wire())
 		}
 	}
 	outcomes := campaign.AllAt(ctx, m.cfg.Engine, campaign.Background, cells)
@@ -519,39 +548,34 @@ func (m *Manager) run(ctx context.Context, j *job, plan *experiments.SweepPlan) 
 	m.finish(j, StateDone, "", id)
 }
 
-// recordCell checkpoints one completed cell and fans its event out to
-// subscribers.
-func (m *Manager) recordCell(j *job, idx int, pt experiments.PointJSON) {
+// recordCell logs one completed cell, checkpoints it and fans its event
+// out to subscribers. A cell that cannot be encoded (a NaN or infinite
+// ratio) fails, and with it the job.
+func (m *Manager) recordCell(j *job, idx int, pt experiments.PointJSON) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if _, dup := j.points[idx]; dup {
-		return
+		return nil
+	}
+	ev, raw, err := j.addCell(idx, &pt)
+	if err != nil {
+		return err
 	}
 	j.points[idx] = pt
-	if j.ckpt != nil {
-		raw, err := json.Marshal(pt)
-		if err == nil {
-			err = j.ckpt.Append(int64(idx), raw)
-		}
-		if err != nil {
-			// The cell result is still held in memory; losing the
-			// append only costs a re-solve after a crash.
-			m.cfg.Logger.Warn("jobs: checkpoint append failed", "id", j.meta.ID, "cell", idx, "err", err)
-		}
+	if err := j.ckpt.Append(int64(idx), raw); err != nil {
+		// The cell result is still held in memory; losing the append
+		// only costs a re-solve after a crash.
+		m.cfg.Logger.Warn("jobs: checkpoint append failed", "id", j.meta.ID, "cell", idx, "err", err)
 	}
 	mCellsSolved.Inc()
-	ev := Event{
-		Seq: len(j.log) + 1, Type: "cell", Index: idx,
-		Done: len(j.points), Total: j.meta.TotalCells, Point: &pt,
-	}
-	j.log = append(j.log, ev)
 	m.fanout(j, ev, false)
+	return nil
 }
 
 // fanout delivers ev to j's subscribers; the caller holds j.mu. A
 // subscriber that cannot keep up is closed — its client re-syncs with
 // Last-Event-ID. terminal additionally closes every stream.
-func (m *Manager) fanout(j *job, ev Event, terminal bool) {
+func (m *Manager) fanout(j *job, ev Encoded, terminal bool) {
 	for s := range j.subs {
 		if s.closed {
 			continue
@@ -586,8 +610,9 @@ func (m *Manager) finish(j *job, state State, errText, artifact string) {
 	j.meta.State = state
 	j.meta.Error = errText
 	j.meta.Artifact = artifact
+	j.points = nil
 	meta := j.meta
-	ev := terminalEvent(len(j.log)+1, meta, len(j.points))
+	ev := encodeState(len(j.log)+1, meta, j.done)
 	j.log = append(j.log, ev)
 	m.fanout(j, ev, true)
 	j.mu.Unlock()
@@ -620,7 +645,7 @@ func (m *Manager) Get(id string) (Status, error) {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return Status{Meta: j.meta, DoneCells: len(j.points)}, nil
+	return Status{Meta: j.meta, DoneCells: j.done}, nil
 }
 
 // List returns every job's status, newest first.
@@ -634,7 +659,7 @@ func (m *Manager) List() []Status {
 	out := make([]Status, 0, len(js))
 	for _, j := range js {
 		j.mu.Lock()
-		out = append(out, Status{Meta: j.meta, DoneCells: len(j.points)})
+		out = append(out, Status{Meta: j.meta, DoneCells: j.done})
 		j.mu.Unlock()
 	}
 	sort.Slice(out, func(a, b int) bool {
@@ -658,7 +683,7 @@ func (m *Manager) Cancel(id string) (Status, error) {
 	j.mu.Lock()
 	terminal := j.meta.State.Terminal()
 	cancel := j.cancel
-	st := Status{Meta: j.meta, DoneCells: len(j.points)}
+	st := Status{Meta: j.meta, DoneCells: j.done}
 	j.mu.Unlock()
 	if !terminal && cancel != nil {
 		cancel()
@@ -704,8 +729,10 @@ func (m *Manager) Artifact(id string) ([]byte, string, error) {
 // Subscribe opens a progress stream: the replay of every logged event
 // with Seq > afterSeq, then a live channel. The channel closes after the
 // terminal event (or on overflow, or when cancel is called). afterSeq 0
-// replays from the start — exactly the SSE Last-Event-ID contract.
-func (m *Manager) Subscribe(id string, afterSeq int) ([]Event, <-chan Event, func(), error) {
+// replays from the start — exactly the SSE Last-Event-ID contract. The
+// replay shares the job's log, which is append-only: callers must not
+// modify it.
+func (m *Manager) Subscribe(id string, afterSeq int) ([]Encoded, <-chan Encoded, func(), error) {
 	m.mu.Lock()
 	j, ok := m.jobs[id]
 	m.mu.Unlock()
@@ -717,18 +744,16 @@ func (m *Manager) Subscribe(id string, afterSeq int) ([]Event, <-chan Event, fun
 	if afterSeq < 0 {
 		afterSeq = 0
 	}
-	var replay []Event
-	if afterSeq < len(j.log) {
-		replay = append(replay, j.log[afterSeq:]...)
+	var replay []Encoded
+	if n := len(j.log); afterSeq < n {
+		replay = j.log[afterSeq:n:n]
 	}
-	s := &subscriber{ch: make(chan Event, 256)}
 	if j.meta.State.Terminal() {
 		// The replay already ends with the terminal event; hand back a
 		// closed channel so the caller drains and stops.
-		close(s.ch)
-		s.closed = true
-		return replay, s.ch, func() {}, nil
+		return replay, closedStream, func() {}, nil
 	}
+	s := &subscriber{ch: make(chan Encoded, 256)}
 	j.subs[s] = struct{}{}
 	cancel := func() {
 		j.mu.Lock()

@@ -6,10 +6,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"sync/atomic"
 	"testing"
+
+	"repro/internal/experiments"
 )
 
 // evalV1 is the server's miss path for a v1 request under the serving
@@ -149,4 +153,40 @@ func BenchmarkSustainedBatchThroughput(b *testing.B) {
 	if b.N > uniquePool && st.Cache.Hits == 0 {
 		b.Fatal(fmt.Sprintf("sustained stream never hit the cache: %+v", st.Cache))
 	}
+}
+
+// BenchmarkCampaignStreamReplay streams a finished 24-cell campaign job
+// over loopback per iteration: the replay a client gets when it opens a
+// done job's progress stream. It reports the flushes per stream (the
+// replay goes out as one write) and the stream's size.
+func BenchmarkCampaignStreamReplay(b *testing.B) {
+	srv := New(Config{Logger: slog.New(slog.NewTextHandler(io.Discard, nil))}, nil)
+	var flushes atomic.Int64
+	ts := httptest.NewServer(countFlushes(srv.Handler(), &flushes))
+	defer ts.Close()
+	spec := campaignSpec()
+	spec.Grid.Models = []string{"ilpPtac", "ftc"}
+	spec.Grid.Perturbations = []experiments.PerturbationSpec{
+		{},
+		{Name: "up10", ScalePercent: 110},
+		{Name: "up20", ScalePercent: 120},
+		{Name: "down10", ScalePercent: 90},
+	}
+	st := submitCampaign(b, ts.URL, spec)
+	waitCampaign(b, ts.URL, st.ID)
+	url := ts.URL + "/v2/campaigns/" + st.ID + "/stream"
+	tr := &http.Transport{}
+	defer tr.CloseIdleConnections()
+	client := &http.Client{Transport: tr}
+	size := len(getStream(b, client, url, 0))
+
+	b.ReportAllocs()
+	flushes.Store(0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		getStream(b, client, url, 0)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(flushes.Load())/float64(b.N), "flushes/stream")
+	b.ReportMetric(float64(size), "stream_bytes")
 }

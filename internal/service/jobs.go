@@ -105,6 +105,8 @@ func (s *Server) handleCampaignArtifact(w http.ResponseWriter, r *http.Request, 
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("ETag", `"`+sum+`"`)
+	// A declared length spares the response its chunked framing.
+	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
 	_, _ = w.Write(data)
 }
 
@@ -114,8 +116,10 @@ func (s *Server) handleCampaignArtifact(w http.ResponseWriter, r *http.Request, 
 // (header, or lastEventId query parameter for plain curl) and receives
 // exactly the missed suffix — the replay comes from the in-memory event
 // log, which survives restarts because it is rebuilt from the
-// checkpoint. The stream ends after the terminal event, on client
-// disconnect, or when graceful shutdown closes streamDone.
+// checkpoint. Events arrive encoded, so the handler only frames them;
+// the replay goes out as one flushed write, each live event as another.
+// The stream ends after the terminal event, on client disconnect, or
+// when graceful shutdown closes streamDone.
 func (s *Server) handleCampaignStream(w http.ResponseWriter, r *http.Request, id string) {
 	if r.Method != http.MethodGet {
 		httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("GET required"))
@@ -146,20 +150,25 @@ func (s *Server) handleCampaignStream(w http.ResponseWriter, r *http.Request, id
 	}
 	defer cancel()
 
-	// Headers go out even when there is nothing to replay yet, so the
-	// client observes the stream as open immediately.
+	// The headers go out with the replay in one flush, even when there is
+	// nothing to replay yet, so the client observes the stream as open
+	// immediately. A finished job's whole stream is that one write.
 	sse.open()
 
 	s.metrics.campaignStreams.Add(1)
 	defer s.metrics.campaignStreams.Add(-1)
 
-	send := func(ev jobs.Event) bool {
-		return sse.send(strconv.Itoa(ev.Seq), ev.Type, ev) && ev.Type != "state"
-	}
+	size := 0
 	for _, ev := range replay {
-		if !send(ev) {
-			return
-		}
+		size += len(ev.JSON) + frameOverhead
+	}
+	buf := make([]byte, 0, size)
+	for _, ev := range replay {
+		buf = appendFrame(buf, ev.Seq, ev.Type, ev.JSON)
+	}
+	ended := len(replay) > 0 && replay[len(replay)-1].Type == "state"
+	if !sse.write(buf) || ended {
+		return
 	}
 	for {
 		select {
@@ -169,7 +178,7 @@ func (s *Server) handleCampaignStream(w http.ResponseWriter, r *http.Request, id
 			// Graceful shutdown: tell the client the stream is pausing,
 			// not that the job ended — it resumes via Last-Event-ID
 			// against the restarted daemon.
-			sse.send("", "drain", struct{}{})
+			sse.send("drain", struct{}{})
 			return
 		case ev, open := <-live:
 			if !open {
@@ -178,7 +187,8 @@ func (s *Server) handleCampaignStream(w http.ResponseWriter, r *http.Request, id
 				// re-sync.
 				return
 			}
-			if !send(ev) {
+			buf = appendFrame(buf[:0], ev.Seq, ev.Type, ev.JSON)
+			if !sse.write(buf) || ev.Type == "state" {
 				return
 			}
 		}

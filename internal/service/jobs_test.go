@@ -7,11 +7,14 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -32,10 +35,9 @@ func campaignSpec() jobs.Spec {
 	}}
 }
 
-// campaignReference computes, fully in-process and uninterrupted, the
-// artifact bytes the server must serve for spec: the byte-identity
-// oracle for the wire and restart paths.
-func campaignReference(t testing.TB, srv *Server, spec jobs.Spec) []byte {
+// campaignPoints computes, fully in-process and uninterrupted, the
+// points of spec's grid in grid order.
+func campaignPoints(t testing.TB, srv *Server, spec jobs.Spec) []experiments.PointJSON {
 	t.Helper()
 	grid, err := spec.Grid.Compile(srv.TableStore(), wcet.DefaultRegistry())
 	if err != nil {
@@ -45,7 +47,14 @@ func campaignReference(t testing.TB, srv *Server, spec jobs.Spec) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := experiments.EncodeArtifact(experiments.WirePoints(pts))
+	return experiments.WirePoints(pts)
+}
+
+// campaignReference computes the artifact bytes the server must serve
+// for spec: the byte-identity oracle for the wire and restart paths.
+func campaignReference(t testing.TB, srv *Server, spec jobs.Spec) []byte {
+	t.Helper()
+	data, err := experiments.EncodeArtifact(campaignPoints(t, srv, spec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -519,6 +528,10 @@ func TestCampaignResumeAcrossRestart(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("resumed artifact differs from uninterrupted sweep:\n got: %s\nwant: %s", got, want)
 	}
+	// Past net/http's 2 KB buffer the length is the handler's to declare.
+	if artResp.ContentLength != int64(len(got)) || len(got) <= 2048 {
+		t.Fatalf("artifact Content-Length %d for %d bytes, want it declared", artResp.ContentLength, len(got))
+	}
 }
 
 // TestCampaignCancelOverWire cancels a parked job via DELETE and checks
@@ -570,4 +583,126 @@ func TestCampaignCancelOverWire(t *testing.T) {
 	if again, code := del(); code != http.StatusOK || again.State != jobs.StateCanceled {
 		t.Fatalf("second DELETE: HTTP %d state %q, want 200 canceled", code, again.State)
 	}
+}
+
+// flushCounter counts the flushes a handler makes on its response.
+type flushCounter struct {
+	http.ResponseWriter
+	n *atomic.Int64
+}
+
+func (f flushCounter) Flush() {
+	f.n.Add(1)
+	f.ResponseWriter.(http.Flusher).Flush()
+}
+
+// countFlushes serves h, counting every response flush into n.
+func countFlushes(h http.Handler, n *atomic.Int64) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h.ServeHTTP(flushCounter{w, n}, r)
+	})
+}
+
+// getStream reads a campaign stream's whole body, resuming after
+// afterSeq when it is positive.
+func getStream(t testing.TB, c *http.Client, url string, afterSeq int) []byte {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodGet, url, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if afterSeq > 0 {
+		req.Header.Set("Last-Event-ID", strconv.Itoa(afterSeq))
+	}
+	resp, err := c.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("stream: HTTP %d, %v", resp.StatusCode, err)
+	}
+	return body
+}
+
+// TestCampaignStreamBytes checks the stream's wire bytes against frames
+// built the way every event used to be sent: json.Marshal of a
+// jobs.Event made from the in-process reference points, framed with
+// fmt. Only the cells' completion order is read from the served stream.
+// It covers a job streamed live, its full replay once finished (one
+// flush), and the replay after every Last-Event-ID.
+func TestCampaignStreamBytes(t *testing.T) {
+	eng := campaign.New(1)
+	srv := New(Config{Logger: slog.New(slog.NewTextHandler(io.Discard, nil))}, eng)
+	var flushes atomic.Int64
+	ts := httptest.NewServer(countFlushes(srv.Handler(), &flushes))
+	defer ts.Close()
+	spec := campaignSpec()
+	ref := campaignPoints(t, srv, spec)
+
+	// Park the job until its stream is open, so every event goes out live.
+	release := hogEngine(t, eng)
+	defer release()
+	st := submitCampaign(t, ts.URL, spec)
+	url := ts.URL + "/v2/campaigns/" + st.ID + "/stream"
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	release()
+	live, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	final := waitCampaign(t, ts.URL, st.ID)
+
+	served := readSSE(t, bytes.NewReader(live), 0)
+	n := len(ref)
+	if len(served) != n+1 {
+		t.Fatalf("live stream has %d events, want %d cells + terminal", len(served), n)
+	}
+	var want []string
+	for i, ev := range served[:n] {
+		var got jobs.Event
+		if err := json.Unmarshal([]byte(ev.Data), &got); err != nil {
+			t.Fatal(err)
+		}
+		if got.Index < 0 || got.Index >= n {
+			t.Fatalf("event %d names cell %d of %d", i+1, got.Index, n)
+		}
+		want = append(want, oldFrame(t, jobs.Event{
+			Seq: i + 1, Type: "cell", Index: got.Index,
+			Done: i + 1, Total: n, Point: &ref[got.Index],
+		}))
+	}
+	want = append(want, oldFrame(t, jobs.Event{
+		Seq: n + 1, Type: "state", Done: n, Total: n,
+		State: jobs.StateDone, Artifact: final.Artifact,
+	}))
+	if got := string(live); got != strings.Join(want, "") {
+		t.Fatalf("live stream bytes differ:\n got: %q\nwant: %q", got, strings.Join(want, ""))
+	}
+
+	for after := 0; after <= n+1; after++ {
+		before := flushes.Load()
+		got := string(getStream(t, http.DefaultClient, url, after))
+		if w := strings.Join(want[min(after, n+1):], ""); got != w {
+			t.Fatalf("replay after %d differs:\n got: %q\nwant: %q", after, got, w)
+		}
+		if f := flushes.Load() - before; f != 1 {
+			t.Fatalf("replay after %d took %d flushes, want 1", after, f)
+		}
+	}
+}
+
+// oldFrame frames ev as the stream did before events were encoded once.
+func oldFrame(t *testing.T, ev jobs.Event) string {
+	t.Helper()
+	data, err := json.Marshal(ev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf("id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Type, data)
 }

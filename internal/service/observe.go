@@ -307,8 +307,8 @@ func parseStreamInterval(q string) (time.Duration, error) {
 	return d, nil
 }
 
-// sseWriter writes Server-Sent Events frames, flushing each one, for the
-// stats and campaign streams.
+// sseWriter writes Server-Sent Events frames for the stats and campaign
+// streams. Each write — one frame, or a replay of them — is flushed once.
 type sseWriter struct {
 	w  http.ResponseWriter
 	fl http.Flusher
@@ -324,31 +324,50 @@ func newSSEWriter(w http.ResponseWriter) (sseWriter, bool) {
 	return sseWriter{w, fl}, ok
 }
 
-// open sends the event-stream headers and flushes them, so the client
-// sees the stream as open before the first frame.
+// open sets the event-stream headers; they go out with the first write,
+// even an empty one.
 func (s sseWriter) open() {
 	s.w.Header().Set("Content-Type", "text/event-stream")
 	s.w.Header().Set("Cache-Control", "no-store")
 	s.w.WriteHeader(http.StatusOK)
-	s.fl.Flush()
 }
 
-// send writes one frame — an `id:` line when id is non-empty, the event
-// name, v as JSON data — and flushes it. It reports false once the frame
-// cannot be written.
-func (s sseWriter) send(id, event string, v any) bool {
+// send writes one frame with v as JSON data and no ID.
+func (s sseWriter) send(event string, v any) bool {
 	payload, err := json.Marshal(v)
 	if err != nil {
 		return false
 	}
-	if id != "" {
-		id = "id: " + id + "\n"
-	}
-	if _, err := fmt.Fprintf(s.w, "%sevent: %s\ndata: %s\n\n", id, event, payload); err != nil {
+	return s.write(appendFrame(nil, 0, event, payload))
+}
+
+// write writes frames, already encoded, and flushes them in one go. It
+// reports false once they cannot be written.
+func (s sseWriter) write(frames []byte) bool {
+	if _, err := s.w.Write(frames); err != nil {
 		return false
 	}
 	s.fl.Flush()
 	return true
+}
+
+// frameOverhead bounds a campaign event frame's bytes beyond its data:
+// the id, event and data line prefixes and the blank line.
+const frameOverhead = 40
+
+// appendFrame appends one SSE frame: an `id:` line when id is positive,
+// the event name and data.
+func appendFrame(b []byte, id int, event string, data []byte) []byte {
+	if id > 0 {
+		b = append(b, "id: "...)
+		b = strconv.AppendInt(b, int64(id), 10)
+		b = append(b, '\n')
+	}
+	b = append(b, "event: "...)
+	b = append(b, event...)
+	b = append(b, "\ndata: "...)
+	b = append(b, data...)
+	return append(b, "\n\n"...)
 }
 
 // handleStatsStream serves /v2/stats/stream: an SSE stream of periodic
@@ -375,7 +394,7 @@ func (s *Server) handleStatsStream(w http.ResponseWriter, r *http.Request) {
 	s.metrics.streamClients.Add(1)
 	defer s.metrics.streamClients.Add(-1)
 
-	if !sse.send("", "stats", s.snapshotStream()) {
+	if !sse.send("stats", s.snapshotStream()) {
 		return
 	}
 	tick := time.NewTicker(interval)
@@ -387,7 +406,7 @@ func (s *Server) handleStatsStream(w http.ResponseWriter, r *http.Request) {
 		case <-s.streamDone:
 			return
 		case <-tick.C:
-			if !sse.send("", "stats", s.snapshotStream()) {
+			if !sse.send("stats", s.snapshotStream()) {
 				return
 			}
 		}

@@ -4,8 +4,9 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
+	"io"
 	"io/fs"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"testing"
@@ -62,17 +63,22 @@ func copyTree(t *testing.T, src string) string {
 	return dst
 }
 
-func eventsSum(t *testing.T, events []jobs.Event) string {
-	t.Helper()
-	b, err := json.Marshal(events)
-	if err != nil {
-		t.Fatal(err)
+// eventsSum hashes the events as json.Marshal encodes a []jobs.Event:
+// each event's JSON, comma-separated, in brackets.
+func eventsSum(events []jobs.Encoded) string {
+	h := sha256.New()
+	h.Write([]byte{'['})
+	for i, ev := range events {
+		if i > 0 {
+			h.Write([]byte{','})
+		}
+		h.Write(ev.JSON)
 	}
-	s := sha256.Sum256(b)
-	return hex.EncodeToString(s[:])
+	h.Write([]byte{']'})
+	return hex.EncodeToString(h.Sum(nil))
 }
 
-func replay(t *testing.T, m *jobs.Manager, id string) []jobs.Event {
+func replay(t *testing.T, m *jobs.Manager, id string) []jobs.Encoded {
 	t.Helper()
 	events, _, cancel, err := m.Subscribe(id, 0)
 	if err != nil {
@@ -96,13 +102,14 @@ func TestLegacyDataDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := jobs.Open(jobs.Config{Dir: filepath.Join(dir, "jobs"), Engine: campaign.New(2), Store: tables})
+	m, err := jobs.Open(jobs.Config{Dir: filepath.Join(dir, "jobs"), Engine: campaign.New(2), Store: tables,
+		Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close(context.Background())
 
-	if got := eventsSum(t, replay(t, m, doneJob)); got != doneEventsSum {
+	if got := eventsSum(replay(t, m, doneJob)); got != doneEventsSum {
 		t.Errorf("done job's events changed: digest %s, want %s", got, doneEventsSum)
 	}
 	deadline := time.Now().Add(60 * time.Second)
@@ -133,7 +140,7 @@ func TestLegacyDataDir(t *testing.T) {
 	}
 	if events := replay(t, m, runningJob); len(events) != 19 {
 		t.Errorf("resumed job has %d events, want 18 cells + 1 state", len(events))
-	} else if got := eventsSum(t, events[:4]); got != restoredEventsSum {
+	} else if got := eventsSum(events[:4]); got != restoredEventsSum {
 		t.Errorf("restored events changed: digest %s, want %s", got, restoredEventsSum)
 	}
 	// The torn line was cut before appends resumed: the mixed-spelling

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -129,7 +130,7 @@ func WithModels(names ...string) Option {
 		if len(names) == 0 {
 			return fmt.Errorf("wcet: WithModels needs at least one model")
 		}
-		a.models = names
+		a.models = append([]string(nil), names...)
 		return nil
 	}
 }
@@ -214,8 +215,13 @@ func (a *Analyzer) CacheStats() (hits, misses int64) {
 }
 
 // canonicalModels resolves names to canonical form, preserving order and
-// dropping duplicates.
+// dropping duplicates. A list already canonical and duplicate-free — a
+// sweep's model set, cell after cell — comes back as it is, unallocated;
+// callers only read it.
 func (a *Analyzer) canonicalModels(names []string) ([]string, error) {
+	if a.canonicalAsGiven(names) {
+		return names, nil
+	}
 	out := make([]string, 0, len(names))
 	seen := make(map[string]bool, len(names))
 	for _, n := range names {
@@ -229,6 +235,17 @@ func (a *Analyzer) canonicalModels(names []string) ([]string, error) {
 		}
 	}
 	return out, nil
+}
+
+// canonicalAsGiven reports whether every name is canonical and listed
+// once.
+func (a *Analyzer) canonicalAsGiven(names []string) bool {
+	for i, n := range names {
+		if canon, err := a.reg.Canonical(n); err != nil || canon != n || slices.Contains(names[:i], n) {
+			return false
+		}
+	}
+	return true
 }
 
 // Request is one analysis: what was measured (or pledged), which models to

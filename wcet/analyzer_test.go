@@ -367,3 +367,30 @@ func TestToyModelEndToEnd(t *testing.T) {
 		t.Errorf("toy RTA verdict = %+v", rres.RTA)
 	}
 }
+
+// TestCanonicalModelsAsGiven: a canonical, duplicate-free model list is
+// used as it is, without allocating; any other list is resolved into a
+// new one, and the Analyzer never aliases its WithModels argument.
+func TestCanonicalModelsAsGiven(t *testing.T) {
+	models := []string{"ilpPtac", "ftc"}
+	an := MustNewAnalyzer(WithModels(models...))
+	models[0] = "bogus"
+	if _, err := an.Analyze(context.Background(), testRequest()); err != nil {
+		t.Fatalf("Analyzer followed a caller's edit of its WithModels slice: %v", err)
+	}
+
+	given := []string{"ilpPtac", "ftc"}
+	got, err := an.canonicalModels(given)
+	if err != nil || &got[0] != &given[0] {
+		t.Fatalf("canonical list %v came back as a new list %v (%v)", given, got, err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { an.canonicalModels(given) }); allocs != 0 {
+		t.Errorf("canonical list: %.0f allocs, want 0", allocs)
+	}
+	for _, names := range [][]string{{"ftc", "ftc"}, {"FTC"}} {
+		got, err := an.canonicalModels(names)
+		if err != nil || len(got) != 1 || got[0] != "ftc" || &got[0] == &names[0] {
+			t.Errorf("canonicalModels(%v) = %v, %v; want a new [ftc]", names, got, err)
+		}
+	}
+}
