@@ -75,10 +75,11 @@ type Engine struct {
 	workers int
 
 	// slots is an engine-level semaphore shared by every campaign on this
-	// engine: a worker may run a job only while holding a slot. A single
-	// campaign is unaffected (it spawns at most `workers` workers, each
-	// holding at most one slot), but concurrent campaigns — the serving
-	// layer fans every batch request out as its own campaign — share the
+	// engine, and the one bound on solver parallelism: a cell runs only
+	// while its goroutine holds a slot. A single campaign is unaffected
+	// (its caller and at most workers-1 helpers work it, each holding at
+	// most one slot), but concurrent campaigns — the serving layer runs
+	// every cache miss and batch request as its own campaign — share the
 	// one bounded pool instead of multiplying it. Jobs must not schedule
 	// new campaigns on the same engine: with every slot held by their
 	// parents, the nested campaign would deadlock.
@@ -219,7 +220,8 @@ func (e *Engine) release(pri Priority) {
 // in input order, regardless of which worker finished which job when. It
 // collects per-run errors rather than failing fast: a failing cell never
 // prevents the remaining cells from running. Cancelling ctx stops workers
-// from picking up new jobs; jobs that never started report ctx.Err().
+// from picking up new jobs; jobs that never started report
+// context.Cause(ctx).
 func All[T any](ctx context.Context, e *Engine, jobs []Job[T]) []Outcome[T] {
 	return AllAt(ctx, e, Interactive, jobs)
 }
@@ -227,48 +229,43 @@ func All[T any](ctx context.Context, e *Engine, jobs []Job[T]) []Outcome[T] {
 // AllAt is All with an explicit admission priority. Background campaigns
 // run on the same bounded pool but leave headroom for — and yield slots
 // to — Interactive work; see Priority.
+//
+// The calling goroutine works cells itself, beside up to workers-1
+// helpers; all of them claim cell indices from one cursor, so a one-wide
+// engine or a one-cell campaign starts no goroutine.
 func AllAt[T any](ctx context.Context, e *Engine, pri Priority, jobs []Job[T]) []Outcome[T] {
 	outcomes := make([]Outcome[T], len(jobs))
 	for i := range outcomes {
 		outcomes[i].Err = errNotRun
 	}
 
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	workers := e.workers
-	if workers > len(jobs) {
-		workers = len(jobs)
+	var next atomic.Int64
+	work := func() {
+		for ctx.Err() == nil {
+			i := int(next.Add(1) - 1)
+			if i >= len(jobs) || !e.acquire(ctx, pri) {
+				// A cell whose slot never came keeps its not-run outcome;
+				// it picks up the context's cause once the pool drains.
+				return
+			}
+			mCells.Inc()
+			if pri == Background {
+				mBgCells.Inc()
+			}
+			v, err := jobs[i](ctx)
+			outcomes[i] = Outcome[T]{Value: v, Err: err}
+			e.release(pri)
+		}
 	}
-	for w := 0; w < workers; w++ {
+	var wg sync.WaitGroup
+	for range min(e.workers, len(jobs)) - 1 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range idx {
-				if !e.acquire(ctx, pri) {
-					// Leave the slot's outcome as not-run; it picks up the
-					// context error after the pool drains.
-					continue
-				}
-				mCells.Inc()
-				if pri == Background {
-					mBgCells.Inc()
-				}
-				v, err := jobs[i](ctx)
-				outcomes[i] = Outcome[T]{Value: v, Err: err}
-				e.release(pri)
-			}
+			work()
 		}()
 	}
-
-feed:
-	for i := range jobs {
-		select {
-		case idx <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(idx)
+	work()
 	wg.Wait()
 
 	for i := range outcomes {
@@ -280,13 +277,13 @@ feed:
 }
 
 // Batch maps every item through fn on e's worker pool — the batched solve
-// entry point the serving layer's /v1/batch fan-out and the experiments
-// grids run on. It is All without the per-item closure ceremony: one
-// outcome per item, in input order, per-item errors, bounded by the
-// engine's shared slot semaphore. Because a batch drains through the one
-// engine pool, consecutive solves land on a bounded set of goroutines and
-// the solver pools in internal/ilp re-serve their tableau arenas instead
-// of growing fresh state per cell.
+// entry point the serving layer's /v1/batch fan-out runs on. It is All
+// without the per-item closure ceremony: one outcome per item, in input
+// order, per-item errors, bounded by the engine's shared slot semaphore.
+// Because a batch drains through the one engine pool, consecutive solves
+// land on a bounded set of goroutines and the solver pools in
+// internal/ilp re-serve their tableau arenas instead of growing fresh
+// state per cell.
 func Batch[In, Out any](ctx context.Context, e *Engine, items []In, fn func(context.Context, In) (Out, error)) []Outcome[Out] {
 	jobs := make([]Job[Out], len(items))
 	for i := range items {
@@ -303,12 +300,7 @@ func Batch[In, Out any](ctx context.Context, e *Engine, items []In, fn func(cont
 // alongside an error joining every per-cell failure (each annotated with
 // its cell index).
 func Collect[T any](ctx context.Context, e *Engine, jobs []Job[T]) ([]T, error) {
-	return CollectAt(ctx, e, Interactive, jobs)
-}
-
-// CollectAt is Collect with an explicit admission priority.
-func CollectAt[T any](ctx context.Context, e *Engine, pri Priority, jobs []Job[T]) ([]T, error) {
-	outcomes := AllAt(ctx, e, pri, jobs)
+	outcomes := All(ctx, e, jobs)
 	values := make([]T, len(outcomes))
 	var errs []error
 	for i, o := range outcomes {

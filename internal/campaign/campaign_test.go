@@ -40,6 +40,25 @@ func TestNewDefaultsToHardwareWidth(t *testing.T) {
 	}
 }
 
+// TestAllRunsOnCaller: on a one-wide engine the calling goroutine works
+// every cell itself, at both priorities. The frame is matched with its
+// "(" because the job closure's own frame is TestAllRunsOnCaller.func1.
+func TestAllRunsOnCaller(t *testing.T) {
+	e := New(1)
+	job := func(ctx context.Context) (bool, error) {
+		buf := make([]byte, 64<<10)
+		stack := string(buf[:runtime.Stack(buf, false)])
+		return strings.Contains(stack, "campaign.TestAllRunsOnCaller("), nil
+	}
+	for _, pri := range []Priority{Interactive, Background} {
+		for i, o := range AllAt(context.Background(), e, pri, []Job[bool]{job, job, job}) {
+			if o.Err != nil || !o.Value {
+				t.Errorf("priority %d cell %d: ran on caller = %v (err %v), want true", pri, i, o.Value, o.Err)
+			}
+		}
+	}
+}
+
 // TestAllPreservesInputOrder: outcomes land in input order regardless of
 // completion order (later jobs finish first here because earlier ones wait
 // for them).

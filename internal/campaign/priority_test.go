@@ -172,11 +172,13 @@ func TestBackgroundCancellationReleasesTickets(t *testing.T) {
 	for i := range fresh {
 		fresh[i] = func(ctx context.Context) (int, error) { return 1, nil }
 	}
-	vals, err := CollectAt(ctx2, e, Background, fresh)
-	if err != nil {
-		t.Fatalf("post-cancel background campaign: %v", err)
+	outs := AllAt(ctx2, e, Background, fresh)
+	if len(outs) != 4 {
+		t.Fatalf("got %d outcomes, want 4", len(outs))
 	}
-	if len(vals) != 4 {
-		t.Fatalf("got %d values, want 4", len(vals))
+	for i, o := range outs {
+		if o.Err != nil || o.Value != 1 {
+			t.Fatalf("post-cancel background campaign: cell %d = (%d, %v), want (1, nil)", i, o.Value, o.Err)
+		}
 	}
 }

@@ -243,12 +243,8 @@ func analyzerFor(lat platform.LatencyTable, reg *wcet.Registry) (*wcet.Analyzer,
 	if an, ok := analyzers.Load(key); ok {
 		return an.(*wcet.Analyzer), nil
 	}
-	// Concurrency 1: a cell already occupies one campaign-engine worker
-	// slot, so intra-cell model fan-out would overrun the -workers bound
-	// (the same reasoning as the server's analyzer).
 	opts := []wcet.Option{
 		wcet.WithLatencyTable(lat),
-		wcet.WithConcurrency(1),
 		wcet.WithCache(analyzerEstimateCache),
 	}
 	if reg != nil {

@@ -393,7 +393,7 @@ func (m *Manager) Submit(spec Spec, defaultTable string) (Status, error) {
 		}
 	}
 	mSubmitted.Inc()
-	m.cfg.Logger.Info("jobs: submitted", "id", id, "cells", meta.TotalCells, "baseTable", meta.BaseTable)
+	m.cfg.Logger.Debug("jobs: submitted", "id", id, "cells", meta.TotalCells, "baseTable", meta.BaseTable)
 	m.wg.Add(1)
 	go m.run(jctx, j, plan)
 	return Status{Meta: meta}, nil

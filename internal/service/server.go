@@ -281,11 +281,6 @@ func New(cfg Config, engine *campaign.Engine) *Server {
 	if engine == nil {
 		engine = campaign.New(cfg.Workers)
 	}
-	// The server gets its own analyzer with intra-request concurrency 1:
-	// every cache miss already runs as one engine-slot campaign job, so
-	// fanning a request's models out in parallel inside that slot would
-	// multiply concurrent solves past the Workers bound admission control
-	// exists to enforce.
 	reg := cfg.Registry
 	if reg == nil {
 		reg = wcet.DefaultRegistry()
@@ -316,7 +311,7 @@ func New(cfg Config, engine *campaign.Engine) *Server {
 	if err != nil {
 		panic(fmt.Sprintf("service: default table ref does not resolve: %v", err))
 	}
-	opts := []wcet.Option{wcet.WithRegistry(reg), wcet.WithConcurrency(1), wcet.WithTableStore(store)}
+	opts := []wcet.Option{wcet.WithRegistry(reg), wcet.WithTableStore(store)}
 	analyzer, err := wcet.NewAnalyzer(opts...)
 	if err != nil {
 		// The registry lacks the v1 pair — a v2-only deployment. Default

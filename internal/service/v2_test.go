@@ -183,7 +183,7 @@ func TestV2RTAAnyModel(t *testing.T) {
 
 // TestV2RTAModelMustBeSelected asserts an rta.model outside the selected
 // model set is rejected pre-admission as a 400 — not after burning a full
-// model fan-out.
+// run of the models.
 func TestV2RTAModelMustBeSelected(t *testing.T) {
 	srv := New(Config{}, nil)
 	ts := httptest.NewServer(srv.Handler())

@@ -9,7 +9,10 @@
 # `perfbench/run.sh --trace 0` in both trees, base first in odd pairs and
 # head first in even ones, for BENCHMARK.json's run_seconds. One traced
 # figure4 run per side follows. Every result line lands in bench-ab.jsonl,
-# tagged with side, workload, seed and trace. The script then checks that
+# tagged with side, workload, seed, trace and perfbench's exit code, and
+# every run's stderr in bench-ab-logs/<side>-<workload>-<seed>-<trace>.log;
+# a run that prints no result line ends the A/B with the last 20 lines of
+# its log. The script then checks that
 # every workload BENCHMARK.json declares has a run for each side and seed,
 # and scripts/benchab judges the file (docs/BENCHMARKING.md gives the
 # decision rule). benchab itself judges whichever workloads a file holds,
@@ -24,6 +27,7 @@ fi
 base_rev="$(git rev-parse --verify "$1^{commit}")"
 head_dir="$(pwd)"
 out="$head_dir/bench-ab.jsonl"
+logs="$head_dir/bench-ab-logs"
 secs="$(sed -n 's/.*"run_seconds": *\([0-9][0-9]*\).*/\1/p' BENCHMARK.json)"
 read -ra workloads <<<"$(sed -n 's/.*{"name": *"\([^"]*\)", *"why".*/\1/p' BENCHMARK.json | tr '\n' ' ')"
 if [ ${#workloads[@]} -eq 0 ]; then
@@ -42,17 +46,25 @@ cleanup() {
 trap cleanup EXIT
 git worktree add --detach --quiet "$tmp/base" "$base_rev"
 : >"$out"
+rm -rf "$logs"
+mkdir -p "$logs"
 
-# run <side> <workload> <seed> <trace> appends one tagged result line.
+# run <side> <workload> <seed> <trace> appends one tagged result line and
+# keeps the run's stderr in its log.
 run() {
-  local dir="$head_dir" line
+  local dir="$head_dir" log="$logs/$1-$2-$3-$4.log" line code=0
   [ "$1" = base ] && dir="$tmp/base"
   echo "bench_ab: $1 $2 seed $3 trace $4" >&2
-  line="$(cd "$dir" && bash perfbench/run.sh --workload "$2" --seed "$3" --seconds "$secs" --trace "$4" | tail -n 1)" || true
+  line="$(
+    cd "$dir"
+    bash perfbench/run.sh --workload "$2" --seed "$3" --seconds "$secs" --trace "$4" 2>"$log" | tail -n 1
+    exit "${PIPESTATUS[0]}"
+  )" || code=$?
   case "$line" in
-  '{'*) printf '{"side":"%s","workload":"%s","seed":%d,"trace":%d,"result":%s}\n' "$1" "$2" "$3" "$4" "$line" >>"$out" ;;
+  '{'*) printf '{"side":"%s","workload":"%s","seed":%d,"trace":%d,"exit":%d,"result":%s}\n' "$1" "$2" "$3" "$4" "$code" "$line" >>"$out" ;;
   *)
-    echo "bench_ab: $1 $2 seed $3 printed no result line" >&2
+    echo "bench_ab: $1 $2 seed $3 printed no result line (exit $code); last lines of $log:" >&2
+    tail -n 20 "$log" >&2
     exit 1
     ;;
   esac

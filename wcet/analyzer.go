@@ -4,9 +4,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"fmt"
-	"runtime"
 	"slices"
-	"sync"
 	"time"
 
 	"repro/internal/rta"
@@ -29,17 +27,17 @@ var (
 )
 
 // Analyzer is the SDK facade: it fixes a registry, platform, scenario,
-// default model set, optional estimate cache and fan-out width once, and
-// Analyze then composes validation, concurrent model evaluation and an
-// optional response-time-analysis verdict per request. An Analyzer is
-// immutable after construction and safe for concurrent use.
+// default model set and optional estimate cache once, and Analyze then
+// composes validation, in-order model evaluation and an optional
+// response-time-analysis verdict per request. An Analyzer is immutable
+// after construction and safe for concurrent use; it starts no goroutine,
+// so a request's solves run wherever its caller runs them.
 type Analyzer struct {
 	reg    *Registry
 	lat    LatencyTable
 	store  TableStore
 	sc     Scenario
 	models []string // canonical, resolved at construction
-	conc   int
 	cache  *estimateCache
 }
 
@@ -137,9 +135,7 @@ func WithModels(names ...string) Option {
 
 // WithCache gives the Analyzer an LRU of the given capacity over
 // (model, input) estimates, so identical cells across repeated analyses
-// cost a map lookup instead of a solve. Hits are served inline in the
-// calling goroutine, without taking a concurrency slot; only the misses
-// fan out to solves.
+// cost a map lookup instead of a solve.
 func WithCache(entries int) Option {
 	return func(a *Analyzer) error {
 		if entries <= 0 {
@@ -150,16 +146,13 @@ func WithCache(entries int) Option {
 	}
 }
 
-// WithConcurrency caps how many models evaluate in parallel per Analyze
-// call; the default is GOMAXPROCS.
-func WithConcurrency(n int) Option {
-	return func(a *Analyzer) error {
-		if n <= 0 {
-			return fmt.Errorf("wcet: WithConcurrency needs a positive width, got %d", n)
-		}
-		a.conc = n
-		return nil
-	}
+// WithConcurrency has no effect. Analyze evaluates a request's models in
+// the calling goroutine, so a caller bounds solver parallelism by how
+// many Analyze calls it runs at once.
+//
+// Deprecated: drop the option; it is kept only so existing callers build.
+func WithConcurrency(int) Option {
+	return func(*Analyzer) error { return nil }
 }
 
 // NewAnalyzer builds an Analyzer. Without options it analyses on the
@@ -170,7 +163,6 @@ func NewAnalyzer(opts ...Option) (*Analyzer, error) {
 		lat:    TC27x(),
 		sc:     Scenario1(),
 		models: []string{"ftc", "ilpPtac"},
-		conc:   runtime.GOMAXPROCS(0),
 	}
 	for _, opt := range opts {
 		if err := opt(a); err != nil {
@@ -339,56 +331,12 @@ func (r *Result) Estimate(canonical string) (Estimate, bool) {
 	return Estimate{}, false
 }
 
-// Analyze validates the request, fans the selected models out across the
-// configured concurrency, and (when asked) derives the RTA verdict from
-// the selected bound. Estimates come back in model order regardless of
-// completion order; the first model error fails the call, labelled with
-// the model's name.
+// Analyze validates the request, evaluates the selected models one after
+// another in model order in the calling goroutine, and (when asked)
+// derives the RTA verdict from the selected bound. The first model error
+// fails the call, labelled with the model's name; later models are not
+// evaluated.
 func (a *Analyzer) Analyze(ctx context.Context, req Request) (*Result, error) {
-	return a.analyze(ctx, req, make(chan struct{}, a.conc))
-}
-
-// BatchResult is one request's outcome within AnalyzeBatch: exactly one of
-// Result and Err is set. A batch never fails wholesale because one item is
-// invalid or one model errors — every item reports independently.
-type BatchResult struct {
-	Result *Result
-	Err    error
-}
-
-// AnalyzeBatch analyses many requests as one unit of work, returning one
-// BatchResult per request in input order regardless of completion order.
-//
-// The batch shares a single evaluation semaphore of the Analyzer's
-// configured width across every (request, model) pair, so total solver
-// parallelism is bounded by WithConcurrency no matter how many items the
-// batch carries — exactly the admission discipline wcetd's /v1/batch
-// endpoint applies through the campaign engine. Batching is also where the
-// solver-state amortization of internal/lp and internal/ilp pays off:
-// consecutive solves drawn from the pooled solvers reuse their tableau
-// arenas instead of re-allocating per cell, and the optional estimate
-// cache (WithCache) is shared across the whole batch, so duplicate cells
-// cost a lookup. Sweep-style callers (experiments.Grid) get the same
-// effect by holding one Analyzer across cells.
-func (a *Analyzer) AnalyzeBatch(ctx context.Context, reqs []Request) []BatchResult {
-	out := make([]BatchResult, len(reqs))
-	sem := make(chan struct{}, a.conc)
-	var wg sync.WaitGroup
-	for i := range reqs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			res, err := a.analyze(ctx, reqs[i], sem)
-			out[i] = BatchResult{Result: res, Err: err}
-		}(i)
-	}
-	wg.Wait()
-	return out
-}
-
-// analyze is the shared core of Analyze and AnalyzeBatch; sem bounds model
-// evaluations and may be shared across concurrent calls.
-func (a *Analyzer) analyze(ctx context.Context, req Request, sem chan struct{}) (*Result, error) {
 	names := a.models
 	if len(req.Models) > 0 {
 		var err error
@@ -432,7 +380,7 @@ func (a *Analyzer) analyze(ctx context.Context, req Request, sem chan struct{}) 
 		return nil, err
 	}
 
-	estimates, err := a.fanOut(ctx, names, in, sem)
+	estimates, err := a.evaluate(ctx, names, in)
 	if err != nil {
 		return nil, err
 	}
@@ -457,19 +405,19 @@ func scenarioIsZero(sc Scenario) bool {
 		!sc.CodeCountExact && !sc.CacheableDataFloor
 }
 
-// fanOut evaluates the models. The input is rendered and hashed once,
-// every model's estimate-cache entry is probed in the calling goroutine,
-// and only the misses go on to solve — a warm call starts no goroutine.
-func (a *Analyzer) fanOut(ctx context.Context, names []string, in Input, sem chan struct{}) ([]ModelEstimate, error) {
+// evaluate runs the models in order. The input is rendered and hashed
+// once; each model's estimate-cache entry is probed before it solves, and
+// every solved estimate is cached.
+func (a *Analyzer) evaluate(ctx context.Context, names []string, in Input) ([]ModelEstimate, error) {
 	var digest [sha256.Size]byte
 	if a.cache != nil {
 		digest = inputDigest(in)
 	}
 	out := make([]ModelEstimate, len(names))
-	var misses []int
 	for i, name := range names {
+		key := estimateKey{model: name, input: digest}
 		if a.cache != nil {
-			if est, ok := a.cache.get(estimateKey{model: name, input: digest}); ok {
+			if est, ok := a.cache.get(key); ok {
 				mEstCacheHits.Inc()
 				_, span := modelSpan(ctx, name)
 				out[i] = served(span, name, est, true)
@@ -477,59 +425,24 @@ func (a *Analyzer) fanOut(ctx context.Context, names []string, in Input, sem cha
 			}
 			mEstCacheMisses.Inc()
 		}
-		misses = append(misses, i)
-	}
-	if len(misses) > 0 {
-		if err := a.solve(ctx, names, misses, digest, in, sem, out); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// solve evaluates the missed models concurrently, bounded by the caller's
-// semaphore, fills their slots of out and caches each estimate. The
-// first error in model order fails the call.
-func (a *Analyzer) solve(ctx context.Context, names []string, misses []int, digest [sha256.Size]byte, in Input, sem chan struct{}, out []ModelEstimate) error {
-	models := make([]ContentionModel, len(misses))
-	for k, i := range misses {
-		model, err := a.reg.Resolve(names[i])
+		model, err := a.reg.Resolve(name)
 		if err != nil {
 			// The set was canonicalized against the same registry; a miss
 			// here means the model was unregistered mid-flight.
-			return err
+			return nil, err
 		}
-		models[k] = model
-	}
-	errs := make([]error, len(misses))
-	var wg sync.WaitGroup
-	for k, i := range misses {
-		wg.Add(1)
-		go func(k, i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			name := names[i]
-			mctx, span := modelSpan(ctx, name)
-			est, err := a.timedEstimate(mctx, name, models[k], in)
-			if err != nil {
-				span.End()
-				errs[k] = fmt.Errorf("wcet: model %s: %w", name, err)
-				return
-			}
-			if a.cache != nil {
-				a.cache.put(estimateKey{model: name, input: digest}, est)
-			}
-			out[i] = served(span, name, est, false)
-		}(k, i)
-	}
-	wg.Wait()
-	for _, err := range errs {
+		mctx, span := modelSpan(ctx, name)
+		est, err := a.timedEstimate(mctx, name, model, in)
 		if err != nil {
-			return err
+			span.End()
+			return nil, fmt.Errorf("wcet: model %s: %w", name, err)
 		}
+		if a.cache != nil {
+			a.cache.put(key, est)
+		}
+		out[i] = served(span, name, est, false)
 	}
-	return nil
+	return out, nil
 }
 
 // modelSpan opens a model's "model:<name>" span, building the name only

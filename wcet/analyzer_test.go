@@ -2,6 +2,7 @@ package wcet
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -269,7 +270,7 @@ func TestAnalyzerCache(t *testing.T) {
 // TestAnalyzerConcurrent runs many Analyze calls in parallel on a shared
 // cached Analyzer; under -race this is the facade's thread-safety proof.
 func TestAnalyzerConcurrent(t *testing.T) {
-	an := MustNewAnalyzer(WithCache(32), WithConcurrency(2))
+	an := MustNewAnalyzer(WithCache(32))
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -291,51 +292,32 @@ func TestAnalyzerConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestAnalyzeBatch exercises the batched entry point: results in input
-// order, per-item errors that never fail the whole batch, and agreement
-// with the single-request path.
-func TestAnalyzeBatch(t *testing.T) {
-	an := MustNewAnalyzer(WithConcurrency(2))
-
-	bad := testRequest()
-	bad.Models = []string{"bogus"}
-	sc2 := testRequest()
-	sc2.Scenario = Scenario2()
-	reqs := []Request{testRequest(), bad, sc2}
-
-	out := an.AnalyzeBatch(context.Background(), reqs)
-	if len(out) != len(reqs) {
-		t.Fatalf("batch returned %d results for %d requests", len(out), len(reqs))
-	}
-	if out[0].Err != nil || out[2].Err != nil {
-		t.Fatalf("valid items errored: %v / %v", out[0].Err, out[2].Err)
-	}
-	if out[1].Err == nil || out[1].Result != nil {
-		t.Fatalf("invalid item = (%+v, %v), want error only", out[1].Result, out[1].Err)
-	}
-
-	// Item results match the single-request path exactly.
-	for _, i := range []int{0, 2} {
-		want, err := an.Analyze(context.Background(), reqs[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(out[i].Result.Estimates) != len(want.Estimates) {
-			t.Fatalf("item %d: %d estimates, want %d", i, len(out[i].Result.Estimates), len(want.Estimates))
-		}
-		for j, e := range out[i].Result.Estimates {
-			if e.WCET() != want.Estimates[j].WCET() || e.Name != want.Estimates[j].Name {
-				t.Errorf("item %d model %s: batch bound %d != single bound %d",
-					i, e.Name, e.WCET(), want.Estimates[j].WCET())
+// TestAnalyzeEvaluatesModelsInOrder: Analyze runs a request's models one
+// after another in request order (the shared slice is appended without a
+// lock, so -race also proves no two run at once), and the first failing
+// model fails the call before any later model runs.
+func TestAnalyzeEvaluatesModelsInOrder(t *testing.T) {
+	boom := errors.New("boom")
+	var ran []string
+	reg := NewRegistry()
+	for _, name := range []string{"first", "second", "third", "broken", "after"} {
+		reg.MustRegister(NewModel(name, func(_ context.Context, in Input) (Estimate, error) {
+			ran = append(ran, name)
+			if name == "broken" {
+				return Estimate{}, boom
 			}
-		}
+			return Estimate{Model: name, IsolationCycles: in.Analysed.CCNT}, nil
+		}))
 	}
-	// Scenario tailoring was honoured per item, not flattened to the
-	// Analyzer default.
-	s1, _ := out[0].Result.Estimate("ilpPtac")
-	s2, _ := out[2].Result.Estimate("ilpPtac")
-	if s1.WCET() == s2.WCET() {
-		t.Errorf("scenario override ignored in batch: both bounds = %d", s1.WCET())
+	an := MustNewAnalyzer(WithRegistry(reg), WithModels("first"))
+	req := testRequest()
+	req.Models = []string{"third", "first", "second", "broken", "after"}
+	_, err := an.Analyze(context.Background(), req)
+	if !errors.Is(err, boom) || !strings.HasPrefix(err.Error(), "wcet: model broken: ") {
+		t.Fatalf("err = %v, want wcet: model broken: boom", err)
+	}
+	if got, want := strings.Join(ran, ","), "third,first,second,broken"; got != want {
+		t.Errorf("models ran as %s, want %s", got, want)
 	}
 }
 

@@ -181,7 +181,7 @@ func TestEstimateKeySensitivity(t *testing.T) {
 // estimates are both cached renders and hashes its input once, probes the
 // cache inline and starts no goroutine.
 func TestWarmAnalyzeAllocs(t *testing.T) {
-	an := MustNewAnalyzer(WithCache(16), WithConcurrency(1))
+	an := MustNewAnalyzer(WithCache(16))
 	ctx := context.Background()
 	req := testRequest()
 	if _, err := an.Analyze(ctx, req); err != nil {

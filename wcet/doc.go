@@ -27,9 +27,12 @@
 //	              oracle, not obtainable from the TC27x DSU
 //
 // An [Analyzer] is the facade the other layers build on: functional
-// options fix the platform, scenario, model set, cache and concurrency
-// once, and [Analyzer.Analyze] then composes validation, model fan-out
-// and an optional response-time-analysis verdict in one call.
+// options fix the platform, scenario, model set and cache once, and
+// [Analyzer.Analyze] then composes validation, in-order model evaluation
+// and an optional response-time-analysis verdict in one call. Analyze
+// starts no goroutine: the caller's own concurrency (wcetd's and the
+// experiment grids' campaign-engine slots) is the one bound on how many
+// solves run at once.
 //
 // A [TableStore] makes the platform characterisation itself versioned:
 // [WithTableStore] attaches a store of content-addressed latency tables

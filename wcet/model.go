@@ -14,8 +14,8 @@ import (
 // "ilpPtac"); it is how callers select the model in Analyzer requests, in
 // the /v2 service API and in experiment grids. Estimate computes the
 // bound. Implementations must be safe for concurrent use: the Analyzer
-// fans models out in parallel and the service invokes them from many
-// requests at once. Estimate should honour ctx cancellation where it can;
+// evaluates one request's models one after another, but the service and
+// the experiment sweeps invoke them from many requests at once. Estimate should honour ctx cancellation where it can;
 // built-in models check it on entry and then run to completion (an ILP
 // solve is not preemptible).
 type ContentionModel interface {
