@@ -2,10 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
-	"unicode/utf8"
+
+	"repro/internal/jsonenc"
 )
 
 // The artifact layout json.MarshalIndent(Artifact{...}, "", "  ") gives,
@@ -62,18 +62,18 @@ func AppendPoint(b []byte, p *PointJSON, indent bool) ([]byte, error) {
 	first := 1
 	if p.Table != "" {
 		b = append(b, l.table[first:]...)
-		b = appendString(b, p.Table)
+		b = jsonenc.AppendString(b, p.Table)
 		first = 0
 	}
 	if p.Perturbation != "" {
 		b = append(b, l.perturbation[first:]...)
-		b = appendString(b, p.Perturbation)
+		b = jsonenc.AppendString(b, p.Perturbation)
 		first = 0
 	}
 	b = append(b, l.scenario[first:]...)
 	b = strconv.AppendInt(b, int64(p.Scenario), 10)
 	b = append(b, l.level...)
-	b = appendString(b, p.Level)
+	b = jsonenc.AppendString(b, p.Level)
 	b = append(b, l.isolationCycles...)
 	b = strconv.AppendInt(b, p.IsolationCycles, 10)
 	b = append(b, l.estimates...)
@@ -92,9 +92,9 @@ func AppendPoint(b []byte, p *PointJSON, indent bool) ([]byte, error) {
 				b = append(b, l.estimateOpen...)
 			}
 			b = append(b, l.name[1:]...)
-			b = appendString(b, e.Name)
+			b = jsonenc.AppendString(b, e.Name)
 			b = append(b, l.model...)
-			b = appendString(b, e.Model)
+			b = jsonenc.AppendString(b, e.Model)
 			b = append(b, l.estIsolationCycles...)
 			b = strconv.AppendInt(b, e.IsolationCycles, 10)
 			b = append(b, l.contentionCycles...)
@@ -163,83 +163,13 @@ func newPointLayout(indent bool) pointLayout {
 	}
 }
 
-// appendFloat formats f as encoding/json formats a float64: the shortest
-// 'f' form, switching to 'e' below 1e-6 and from 1e21 on, with a
-// one-digit negative exponent unpadded.
+// appendFloat formats f as encoding/json formats a float64; like
+// encoding/json, it fails on NaN and the infinities.
 func appendFloat(b []byte, f float64) ([]byte, error) {
-	if math.IsInf(f, 0) || math.IsNaN(f) {
+	b, ok := jsonenc.AppendFloat(b, f)
+	if !ok {
 		return b, fmt.Errorf("experiments: encoding point: unsupported ratio %s",
 			strconv.FormatFloat(f, 'g', -1, 64))
 	}
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		// e-09 becomes e-9.
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
 	return b, nil
-}
-
-const hexDigits = "0123456789abcdef"
-
-// appendString quotes s as encoding/json does with HTML escaping (its
-// default): `"` and `\` backslashed; \b, \f, \n, \r and \t by name; other
-// control bytes and <, > and & as \u00XX; U+2028 and U+2029 as \u2028 and
-// \u2029; and each byte of invalid UTF-8 as \ufffd.
-func appendString(b []byte, s string) []byte {
-	b = append(b, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		c := s[i]
-		if c < utf8.RuneSelf {
-			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
-				i++
-				continue
-			}
-			b = append(b, s[start:i]...)
-			switch c {
-			case '"', '\\':
-				b = append(b, '\\', c)
-			case '\b':
-				b = append(b, '\\', 'b')
-			case '\f':
-				b = append(b, '\\', 'f')
-			case '\n':
-				b = append(b, '\\', 'n')
-			case '\r':
-				b = append(b, '\\', 'r')
-			case '\t':
-				b = append(b, '\\', 't')
-			default:
-				b = append(b, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xF])
-			}
-			i++
-			start = i
-			continue
-		}
-		r, size := utf8.DecodeRuneInString(s[i:])
-		if r == utf8.RuneError && size == 1 {
-			b = append(b, s[start:i]...)
-			b = append(b, `\ufffd`...)
-			i += size
-			start = i
-			continue
-		}
-		if r == '\u2028' || r == '\u2029' {
-			b = append(b, s[start:i]...)
-			b = append(b, '\\', 'u', '2', '0', '2', hexDigits[r&0xF])
-			i += size
-			start = i
-			continue
-		}
-		i += size
-	}
-	b = append(b, s[start:]...)
-	return append(b, '"')
 }

@@ -11,7 +11,12 @@
 // stream while guaranteeing the daemon and the CLI can never drift: both
 // decode requests with DecodeRequest, evaluate them with the same prepare
 // and evaluate steps, and encode responses with EncodeJSON, so for the
-// same input they emit byte-identical JSON (asserted by tests).
+// same input they emit byte-identical JSON (asserted by tests). The wire
+// codec is encoding/json's, with unknown fields rejected; the analysis
+// requests and responses, decoded and encoded on every query, are served
+// by a direct decoder and encoder that produce its values, errors and
+// bytes (fuzzed against it), and encoding/json handles every input the
+// direct decoder does not take and every other payload.
 //
 // There is one analysis path. /v2/analyze is generic over the wcet model
 // registry: callers select any subset of registered models by name, so a
@@ -25,6 +30,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -139,7 +145,11 @@ func (r Request) asV2() V2Request {
 }
 
 // decodeStrict is the one decode policy for every payload shape the
-// service accepts: unknown fields rejected, uniform error wrapping.
+// service accepts: unknown fields rejected, uniform error wrapping. It is
+// the definition the analysis shapes' direct decoder (decodeDirect) is
+// held to: that decoder serves the plain inputs itself and passes the
+// rest here, so every accepted value and every error text is this
+// function's.
 func decodeStrict(r io.Reader, v any) error {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
@@ -150,20 +160,36 @@ func decodeStrict(r io.Reader, v any) error {
 }
 
 // DecodeRequest reads one JSON request, rejecting unknown fields — the
-// CLI's historical strictness, now shared with the daemon.
+// CLI's historical strictness, now shared with the daemon. Like
+// json.Decoder it stops reading once the request is complete, so it
+// returns on a stream that stays open after one request.
 func DecodeRequest(r io.Reader) (Request, error) {
-	var req Request
-	if err := decodeStrict(r, &req); err != nil {
-		return Request{}, err
-	}
-	return req, nil
+	return decodeDirect(r, parseV1)
 }
 
 // EncodeJSON writes v exactly as the cmd/wcet CLI always has: two-space
-// indent, trailing newline. Byte-identical CLI/daemon output depends on
-// every producer funnelling through here.
+// indent, trailing newline, in one Write. Byte-identical CLI/daemon
+// output depends on every producer funnelling through here. The
+// definition is encoding/json's Encoder with SetIndent("", "  "); the
+// analysis responses (*Response, *V2Response) are written directly in
+// its bytes, and every other value, or a response it would refuse, goes
+// through it.
 func EncodeJSON(w io.Writer, v any) error {
-	enc := json.NewEncoder(w)
+	buf, ok := w.(*bytes.Buffer)
+	if !ok {
+		buf = getEncodeBuf()
+		defer putEncodeBuf(buf)
+		if err := EncodeJSON(buf, v); err != nil {
+			return err
+		}
+		_, err := w.Write(buf.Bytes())
+		return err
+	}
+	if b, ok := appendAnalysis(buf.AvailableBuffer(), v); ok {
+		buf.Write(b)
+		return nil
+	}
+	enc := json.NewEncoder(buf)
 	enc.SetIndent("", "  ")
 	return enc.Encode(v)
 }

@@ -13,7 +13,9 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/dsu"
 	"repro/internal/experiments"
+	"repro/wcet"
 )
 
 // evalV1 is the server's miss path for a v1 request under the serving
@@ -189,4 +191,143 @@ func BenchmarkCampaignStreamReplay(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(flushes.Load())/float64(b.N), "flushes/stream")
 	b.ReportMetric(float64(size), "stream_bytes")
+}
+
+// hotRequest is shaped like a request of perfbench's serve hot set: two
+// contenders and an RTA block whose period makes the key unique.
+func hotRequest() Request {
+	return Request{
+		Scenario: 1,
+		Analysed: dsu.Readings{CCNT: 157800, PS: 18000, DS: 27000, PM: 3000, DMC: 420, DMD: 35},
+		Contenders: []dsu.Readings{
+			{CCNT: 500000, PS: 50000, DS: 60000, PM: 8000, DMC: 1100, DMD: 90},
+			{CCNT: 220000, PS: 21000, DS: 16000, PM: 2500, DMC: 300, DMD: 12},
+		},
+		RTA: &RTARequest{
+			Model:  "ilpPtac",
+			Task:   RTATask{Name: "analysed", PeriodCycles: 10_000_017, Priority: 2},
+			Others: []RTATask{{Name: "logger", WCETCycles: 73_421, PeriodCycles: 5_000_000, Priority: 1}},
+		},
+	}
+}
+
+// hotV2Request is hotRequest on /v2/analyze, selecting two models.
+func hotV2Request() V2Request {
+	req := hotRequest().asV2()
+	req.Models = []string{"ilpPtac", "ftcFsb"}
+	return req
+}
+
+// sinkErr keeps the compiler from discarding a benchmarked call.
+var sinkErr error
+
+// BenchmarkDecodeRequest is the strict decode of a hot-set body, the
+// first step of every /v1/wcet and /v2/analyze request.
+func BenchmarkDecodeRequest(b *testing.B) {
+	v1, err := json.Marshal(hotRequest())
+	if err != nil {
+		b.Fatal(err)
+	}
+	v2, err := json.Marshal(hotV2Request())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("v1", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_, sinkErr = DecodeRequest(bytes.NewReader(v1))
+		}
+	})
+	b.Run("v2", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_, sinkErr = DecodeV2Request(bytes.NewReader(v2))
+		}
+	})
+}
+
+// BenchmarkEncodeResponse renders a hot-set response with EncodeJSON into
+// a reused buffer: what a miss caches and what perfbench's encode replay
+// times.
+func BenchmarkEncodeResponse(b *testing.B) {
+	v1, err := Evaluate(hotRequest())
+	if err != nil {
+		b.Fatal(err)
+	}
+	v2, err := EvaluateV2(defaultAnalyzer, hotV2Request())
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		resp any
+	}{{"v1", v1}, {"v2", v2}} {
+		b.Run(c.name, func(b *testing.B) {
+			var buf bytes.Buffer
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				buf.Reset()
+				sinkErr = EncodeJSON(&buf, c.resp)
+			}
+		})
+	}
+}
+
+// sinkKey keeps the compiler from discarding a benchmarked key.
+var sinkKey string
+
+// BenchmarkRequestKey renders and hashes the cache key of a hot-set
+// request, which every analysis request pays before its cache probe.
+func BenchmarkRequestKey(b *testing.B) {
+	reg := wcet.DefaultRegistry()
+	v1, v2 := hotRequest(), hotV2Request()
+	b.Run("v1", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sinkKey = CanonicalKey(v1)
+		}
+	})
+	b.Run("v2", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sinkKey = CanonicalKeyV2(reg, v2)
+		}
+	})
+}
+
+// BenchmarkServeHit is a cached /v1/wcet hit over real loopback TCP from
+// one keep-alive client: the median request of perfbench's serve
+// workload, transport included.
+func BenchmarkServeHit(b *testing.B) {
+	s := New(Config{Logger: slog.New(slog.NewTextHandler(io.Discard, nil))}, nil)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	tr := &http.Transport{}
+	defer tr.CloseIdleConnections()
+	client := &http.Client{Transport: tr}
+	body, err := json.Marshal(hotRequest())
+	if err != nil {
+		b.Fatal(err)
+	}
+	post := func() {
+		resp, err := client.Post(ts.URL+"/v1/wcet", "application/json", bytes.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		_, err = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			b.Fatalf("status %d: %v", resp.StatusCode, err)
+		}
+	}
+	post()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		post()
+	}
+	b.StopTimer()
+	if st := s.StatsSnapshot(); st.Cache.Misses != 1 {
+		b.Fatalf("benchmark loop missed the cache: %+v", st.Cache)
+	}
 }

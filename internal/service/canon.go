@@ -1,11 +1,11 @@
 package service
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"sort"
+	"slices"
 	"strconv"
-	"strings"
 
 	"repro/internal/dsu"
 	"repro/wcet"
@@ -48,19 +48,24 @@ func CanonicalKeyV2(reg *wcet.Registry, req V2Request) string {
 // differ in shape. It appends with strconv, not fmt: it runs before
 // every cache probe, and fmt would box each counter into an allocation.
 func requestKey(reg *wcet.Registry, v apiVersion, req V2Request) string {
-	b := make([]byte, 0, 256)
+	b := make([]byte, 0, 512)
 	b = append(b, v...)
 	b = strconv.AppendInt(append(b, ";sc="...), int64(req.Scenario), 10)
 	b = append(append(b, ";mode="...), canonStallMode(req.StallMode)...)
 	b = strconv.AppendBool(append(b, ";drop="...), req.DropContenderInfo)
 	b = dsu.AppendKey(append(b, ";a="...), req.Analysed)
 
-	cs := make([]string, len(req.Contenders))
-	for i, c := range req.Contenders {
-		cs[i] = string(dsu.AppendKey(nil, c))
+	// Contenders render into one scratch buffer, 60-odd bytes each; the
+	// stack arrays keep the common case off the heap.
+	var scratch [512]byte
+	var spanArr [8][2]int
+	cs, spans := scratch[:0], spanArr[:0]
+	for _, c := range req.Contenders {
+		start := len(cs)
+		cs = dsu.AppendKey(cs, c)
+		spans = append(spans, [2]int{start, len(cs)})
 	}
-	sort.Strings(cs)
-	b = append(append(b, ";b="...), strings.Join(cs, "|")...)
+	b = appendSorted(append(b, ";b="...), cs, spans, "|")
 
 	if req.RTA != nil {
 		task := req.RTA.Task
@@ -91,29 +96,35 @@ func requestKey(reg *wcet.Registry, v apiVersion, req V2Request) string {
 			}
 			b = append(b, canonModel(reg, m)...)
 		}
-		tps := make([]string, len(req.Templates))
-		for i, tp := range req.Templates {
-			tps[i] = strconv.Quote(tp.Name) + ":" + canonWirePTAC(tp.MaxRequests)
-		}
-		sort.Strings(tps)
-		for _, tp := range tps {
-			b = append(append(b, ";tp="...), tp...)
+		if len(req.Templates) > 0 {
+			var tps []byte
+			spans = spans[:0]
+			for _, tp := range req.Templates {
+				start := len(tps)
+				tps = appendWirePTAC(append(strconv.AppendQuote(tps, tp.Name), ':'), tp.MaxRequests)
+				spans = append(spans, [2]int{start, len(tps)})
+			}
+			b = appendSorted(append(b, ";tp="...), tps, spans, ";tp=")
 		}
 		if req.AnalysedPTAC != nil {
-			b = append(append(b, ";pa="...), canonWirePTAC(req.AnalysedPTAC)...)
+			b = appendWirePTAC(append(b, ";pa="...), req.AnalysedPTAC)
 		}
-		pbs := make([]string, len(req.ContenderPTACs))
-		for i, p := range req.ContenderPTACs {
-			pbs[i] = canonWirePTAC(p)
-		}
-		sort.Strings(pbs)
-		for _, p := range pbs {
-			b = append(append(b, ";pb="...), p...)
+		if len(req.ContenderPTACs) > 0 {
+			var pbs []byte
+			spans = spans[:0]
+			for _, p := range req.ContenderPTACs {
+				start := len(pbs)
+				pbs = appendWirePTAC(pbs, p)
+				spans = append(spans, [2]int{start, len(pbs)})
+			}
+			b = appendSorted(append(b, ";pb="...), pbs, spans, ";pb=")
 		}
 	}
 
 	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
+	var key [2 * sha256.Size]byte
+	hex.Encode(key[:], sum[:])
+	return string(key[:])
 }
 
 // canonModel collapses a model spelling to its canonical name, so "FTC"
@@ -143,11 +154,32 @@ func appendRTATask(b []byte, t RTATask) []byte {
 	return strconv.AppendInt(append(b, ",pr"...), int64(t.Priority), 10)
 }
 
-func canonWirePTAC(m map[string]int64) string {
-	parts := make([]string, 0, len(m))
+// appendWirePTAC appends a wire PTAC map as its "path=count" entries in
+// byte order, comma-separated.
+func appendWirePTAC(b []byte, m map[string]int64) []byte {
+	var parts []byte
+	spans := make([][2]int, 0, len(m))
 	for k, v := range m {
-		parts = append(parts, k+"="+strconv.FormatInt(v, 10))
+		start := len(parts)
+		parts = strconv.AppendInt(append(append(parts, k...), '='), v, 10)
+		spans = append(spans, [2]int{start, len(parts)})
 	}
-	sort.Strings(parts)
-	return strings.Join(parts, ",")
+	return appendSorted(b, parts, spans, ",")
+}
+
+// appendSorted appends the items rendered into buf at spans in the byte
+// order of their renderings, separated by sep: the bytes sorting the
+// rendered strings and joining them gives, without a string per item.
+// It sorts spans in place.
+func appendSorted(b, buf []byte, spans [][2]int, sep string) []byte {
+	slices.SortFunc(spans, func(x, y [2]int) int {
+		return bytes.Compare(buf[x[0]:x[1]], buf[y[0]:y[1]])
+	})
+	for i, sp := range spans {
+		if i > 0 {
+			b = append(b, sep...)
+		}
+		b = append(b, buf[sp[0]:sp[1]]...)
+	}
+	return b
 }

@@ -727,8 +727,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
 		return
 	}
-	var batch BatchRequest
-	if err := decodeStrict(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), &batch); err != nil {
+	batch, err := decodeDirect(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), parseBatch)
+	if err != nil {
 		httpError(w, decodeStatus(err), err)
 		return
 	}

@@ -252,11 +252,7 @@ func EvaluateV2(an *wcet.Analyzer, req V2Request) (*V2Response, error) {
 // DecodeV2Request reads one JSON v2 request with the service's strict
 // decode policy.
 func DecodeV2Request(r io.Reader) (V2Request, error) {
-	var req V2Request
-	if err := decodeStrict(r, &req); err != nil {
-		return V2Request{}, err
-	}
-	return req, nil
+	return decodeDirect(r, parseV2)
 }
 
 // RunCLIV2 is cmd/wcet's -models behaviour: decode one v2-shaped request,
