@@ -147,9 +147,9 @@ func (r Request) asV2() V2Request {
 // decodeStrict is the one decode policy for every payload shape the
 // service accepts: unknown fields rejected, uniform error wrapping. It is
 // the definition the analysis shapes' direct decoder (decodeDirect) is
-// held to: that decoder serves the plain inputs itself and passes the
-// rest here, so every accepted value and every error text is this
-// function's.
+// held to: that decoder serves the inputs inside its parser's subset
+// itself and passes the rest here, so every accepted value and every
+// error text is this function's.
 func decodeStrict(r io.Reader, v any) error {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()

@@ -222,7 +222,12 @@ func hotV2Request() V2Request {
 var sinkErr error
 
 // BenchmarkDecodeRequest is the strict decode of a hot-set body, the
-// first step of every /v1/wcet and /v2/analyze request.
+// first step of every /v1/wcet and /v2/analyze request. The fallback
+// bodies leave the direct parser's subset only at their end, where the
+// parser stops: the last task name is non-ASCII, or the last member name
+// is case-folded. decodeStrict decides them after the direct attempt. The batch cases read a four-request
+// /v1/batch body 64 bytes a Read. The strict/ cases are decodeStrict
+// alone on the same bodies, the decode before the direct path.
 func BenchmarkDecodeRequest(b *testing.B) {
 	v1, err := json.Marshal(hotRequest())
 	if err != nil {
@@ -232,18 +237,60 @@ func BenchmarkDecodeRequest(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("v1", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_, sinkErr = DecodeRequest(bytes.NewReader(v1))
+	batch, err := json.Marshal(BatchRequest{Requests: []Request{hotRequest(), hotRequest(), hotRequest(), hotRequest()}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	nonASCII := bytes.Replace(v1, []byte(`"logger"`), []byte("\"logg\u00e9r\""), 1)
+	folded := bytes.Replace(v1, []byte(`"priority":1}]`), []byte(`"Priority":1}]`), 1)
+	if bytes.Equal(nonASCII, v1) || bytes.Equal(folded, v1) {
+		b.Fatal("fallback bodies equal the hot body")
+	}
+	cases := []struct {
+		name   string
+		body   []byte
+		chunk  int
+		direct func(io.Reader) error
+		strict func(io.Reader) error
+	}{
+		{"v1", v1, 0, decodeWith(DecodeRequest), strictInto[Request]},
+		{"v2", v2, 0, decodeWith(DecodeV2Request), strictInto[V2Request]},
+		{"v1-fallback-nonascii", nonASCII, 0, decodeWith(DecodeRequest), strictInto[Request]},
+		{"v1-fallback-folded", folded, 0, decodeWith(DecodeRequest), strictInto[Request]},
+		{"batch-64B-reads", batch, 64, decodeWith(func(r io.Reader) (BatchRequest, error) {
+			return decodeDirect(r, parseBatch)
+		}), strictInto[BatchRequest]},
+	}
+	for _, strict := range []bool{false, true} {
+		for _, c := range cases {
+			name, decode := c.name, c.direct
+			if strict {
+				name, decode = "strict/"+c.name, c.strict
+			}
+			b.Run(name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					var r io.Reader = bytes.NewReader(c.body)
+					if c.chunk > 0 {
+						r = &chunkReader{r, c.chunk}
+					}
+					sinkErr = decode(r)
+				}
+			})
 		}
-	})
-	b.Run("v2", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_, sinkErr = DecodeV2Request(bytes.NewReader(v2))
-		}
-	})
+	}
+}
+
+func decodeWith[T any](decode func(io.Reader) (T, error)) func(io.Reader) error {
+	return func(r io.Reader) error {
+		_, err := decode(r)
+		return err
+	}
+}
+
+func strictInto[T any](r io.Reader) error {
+	var v T
+	return decodeStrict(r, &v)
 }
 
 // BenchmarkEncodeResponse renders a hot-set response with EncodeJSON into

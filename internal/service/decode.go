@@ -11,8 +11,11 @@ import (
 // are the service's hot wire input: every /v1/wcet and /v2/analyze
 // request, cache hits included, decodes one before anything else runs.
 // decodeStrict (encoding/json with unknown fields rejected) stays their
-// definition; decodeDirect serves the plain inputs real clients send
-// without reflection and hands everything else to it.
+// definition; decodeDirect serves the inputs inside its parser's subset
+// without reflection and hands everything else to it. json.Marshal of a
+// request stays inside the subset when its strings are printable ASCII
+// that json.Marshal does not escape, its lists and maps are not nil and
+// its integers have at most 18 digits.
 
 // readMin is json.Decoder's minimum read: it grows its buffer to twice
 // its capacity plus readMin whenever less than readMin is free.
@@ -21,6 +24,12 @@ const readMin = 512
 // maxPooledReadBuf keeps a giant batch body from pinning its buffer in
 // the pool.
 const maxPooledReadBuf = 64 << 10
+
+// maxDirectReads bounds the Read calls a direct decode keeps a record
+// of. A value still incomplete after that many is trickling in (a body
+// a few bytes per Read) or is very large; decodeStrict takes it over,
+// as it would take it alone, and the record stays small.
+const maxDirectReads = 64
 
 // readBuf is a direct decode's input: the bytes read so far and the n of
 // every Read call that read them. It also holds the parser, whose
@@ -37,13 +46,16 @@ var readBufPool = sync.Pool{New: func() any {
 
 // decodeDirect decodes one JSON value from r as decodeStrict would into
 // a T. It reads r as json.Decoder does — Read calls of the same sizes,
-// until a whole value is buffered — and parses the buffer with parse;
-// like json.Decoder, it ignores what follows the value. Anything parse
-// does not take (a value outside its subset, or cut short by EOF or a
-// read error) goes to decodeStrict over a replay of the very Read
-// results consumed, then the rest of r: the decoder sees the input it
-// would have seen alone, so its value or its error is the answer, and r
-// is read no further than it would read it.
+// until a whole value is buffered — and parses what the first read
+// holds. A value that runs past the first read is checked each byte
+// once, as it is read, by a scanner that finds its end, and parsed once
+// it is complete. Like json.Decoder, it ignores what follows the
+// value. Anything it does not take (a byte outside the parser's subset,
+// a value parse rejects, EOF or a read error before the value ends,
+// more than maxDirectReads reads) goes to decodeStrict over a replay of
+// the very Read results consumed, then the rest of r: the decoder sees
+// the input it would have seen alone, so its value or its error is the
+// answer, and r is read no further than it would read it.
 func decodeDirect[T any](r io.Reader, parse func(*parser) (T, bool)) (T, error) {
 	in := readBufPool.Get().(*readBuf)
 	defer func() {
@@ -53,10 +65,11 @@ func decodeDirect[T any](r io.Reader, parse func(*parser) (T, bool)) (T, error) 
 		}
 	}()
 	var (
+		sc      scanner
 		readErr error
 		size    int // json.Decoder's buffer capacity
 	)
-	for {
+	for len(in.ns) < maxDirectReads {
 		if size-len(in.data) < readMin {
 			size = 2*size + readMin
 			if size > cap(in.data) {
@@ -67,14 +80,29 @@ func decodeDirect[T any](r io.Reader, parse func(*parser) (T, bool)) (T, error) 
 		}
 		var n int
 		n, readErr = r.Read(in.data[len(in.data):size])
-		in.data = in.data[:len(in.data)+n]
 		in.ns = append(in.ns, n)
+		from := len(in.data)
+		in.data = in.data[:from+n]
 		p := &in.p
-		*p = parser{b: in.data}
-		if v, ok := parse(p); ok {
-			return v, nil
+		if len(in.ns) == 1 {
+			// The first read usually holds the whole request: parse it
+			// at once, and scan only a value it does not hold.
+			*p = parser{b: in.data}
+			if v, ok := parse(p); ok {
+				return v, nil
+			}
+			if p.i < len(p.b) {
+				break // stopped before the end: not a value it takes
+			}
 		}
-		if !p.short || readErr != nil {
+		end, done, ok := sc.feed(in.data[from:])
+		if done && len(in.ns) > 1 {
+			*p = parser{b: in.data[:from+end]}
+			if v, ok := parse(p); ok {
+				return v, nil
+			}
+		}
+		if done || !ok || readErr != nil {
 			break
 		}
 	}
@@ -83,6 +111,192 @@ func decodeDirect[T any](r io.Reader, parse func(*parser) (T, bool)) (T, error) 
 		return *new(T), err
 	}
 	return v, nil
+}
+
+// scanState is where a scanner stands in the value.
+type scanState uint8
+
+const (
+	scanTop          scanState = iota // before the opening brace
+	scanValue                         // at a value
+	scanValueOrClose                  // after '[': a value or ']'
+	scanNameOrClose                   // after '{': a name or '}'
+	scanName                          // after ',' in an object: a name
+	scanColon                         // after a name
+	scanAfter                         // after a value: ',' or a closing bracket
+	scanNameString                    // inside a name
+	scanString                        // inside a string value
+	scanMinus                         // after a leading '-'
+	scanZero                          // after a leading '0'
+	scanDigits                        // inside an integer
+	scanLiteral                       // inside true or false
+)
+
+// scanner checks a JSON object, a byte at a time and across reads, for
+// the syntax of the parser's subset: strings of printable ASCII without
+// escapes, integers, true and false, nested at most 64 deep. It holds
+// just its state and the open brackets, so however the input is cut
+// into reads every byte is looked at once, and it stops where
+// json.Decoder stops: at the object's closing brace, or at the first
+// byte that is a syntax error — or merely outside the subset, which
+// decodeStrict then decides.
+type scanner struct {
+	state  scanState
+	depth  int
+	arrays uint64 // bit d is set when nesting level d is an array
+	lit    string // the rest of the literal being read
+}
+
+// feed scans b, the bytes that follow those fed before. done reports
+// that the object ends at b[end-1]; ok false, that a byte of b is
+// outside the subset.
+func (s *scanner) feed(b []byte) (end int, done, ok bool) {
+	for i := 0; i < len(b); i++ {
+		c := b[i]
+		switch s.state {
+		case scanString, scanNameString:
+			for ; c != '"'; c = b[i] {
+				if c < 0x20 || c == '\\' || c >= 0x80 {
+					return 0, false, false
+				}
+				if i++; i == len(b) {
+					return 0, false, true
+				}
+			}
+			if s.state == scanNameString {
+				s.state = scanColon
+			} else {
+				s.state = scanAfter
+			}
+			continue
+		case scanMinus:
+			switch {
+			case c == '0':
+				s.state = scanZero
+			case '1' <= c && c <= '9':
+				s.state = scanDigits
+			default:
+				return 0, false, false
+			}
+			continue
+		case scanZero, scanDigits:
+			if '0' <= c && c <= '9' {
+				if s.state == scanZero {
+					return 0, false, false
+				}
+				continue
+			}
+			s.state = scanAfter
+		case scanLiteral:
+			if c != s.lit[0] {
+				return 0, false, false
+			}
+			if s.lit = s.lit[1:]; s.lit == "" {
+				s.state = scanAfter
+			}
+			continue
+		}
+		if c == ' ' || c == '\t' || c == '\n' || c == '\r' {
+			continue
+		}
+		switch s.state {
+		case scanTop:
+			if c != '{' || !s.push(false) {
+				return 0, false, false
+			}
+		case scanNameOrClose, scanName:
+			switch {
+			case c == '"':
+				s.state = scanNameString
+			case c == '}' && s.state == scanNameOrClose:
+				if s.pop() {
+					return i + 1, true, true
+				}
+			default:
+				return 0, false, false
+			}
+		case scanColon:
+			if c != ':' {
+				return 0, false, false
+			}
+			s.state = scanValue
+		case scanValueOrClose:
+			if c == ']' {
+				if s.pop() {
+					return i + 1, true, true
+				}
+			} else if !s.value(c) {
+				return 0, false, false
+			}
+		case scanValue:
+			if !s.value(c) {
+				return 0, false, false
+			}
+		case scanAfter:
+			array := s.arrays>>(s.depth-1)&1 == 1
+			switch {
+			case c == ',' && array:
+				s.state = scanValue
+			case c == ',':
+				s.state = scanName
+			case c == ']' && array, c == '}' && !array:
+				if s.pop() {
+					return i + 1, true, true
+				}
+			default:
+				return 0, false, false
+			}
+		}
+	}
+	return 0, false, true
+}
+
+// value starts the value whose first byte is c.
+func (s *scanner) value(c byte) bool {
+	switch {
+	case c == '{':
+		return s.push(false)
+	case c == '[':
+		return s.push(true)
+	case c == '"':
+		s.state = scanString
+	case c == '-':
+		s.state = scanMinus
+	case c == '0':
+		s.state = scanZero
+	case '1' <= c && c <= '9':
+		s.state = scanDigits
+	case c == 't':
+		s.state, s.lit = scanLiteral, "rue"
+	case c == 'f':
+		s.state, s.lit = scanLiteral, "alse"
+	default:
+		return false
+	}
+	return true
+}
+
+// push opens a nesting level.
+func (s *scanner) push(array bool) bool {
+	if s.depth == 64 {
+		return false
+	}
+	s.arrays &^= 1 << s.depth
+	if array {
+		s.arrays |= 1 << s.depth
+		s.state = scanValueOrClose
+	} else {
+		s.state = scanNameOrClose
+	}
+	s.depth++
+	return true
+}
+
+// pop closes a nesting level and reports whether it was the outermost.
+func (s *scanner) pop() bool {
+	s.depth--
+	s.state = scanAfter
+	return s.depth == 0
 }
 
 // replay serves the Read results a direct decode consumed — the same
@@ -115,12 +329,12 @@ func (p *replay) Read(b []byte) (int, error) {
 // each at most once; strings of printable ASCII without escapes;
 // integers of at most maxDigits digits; true and false. It rejects
 // anything else — null, other numbers, escapes, non-ASCII, case-folded,
-// unknown or repeated names — for decodeStrict to decide, and it reports
-// short when the buffer ends inside a value it has taken so far.
+// unknown or repeated names, a value cut short — for decodeStrict to
+// decide. What it takes is valid JSON up to its end, so json.Decoder
+// would stop reading there too.
 type parser struct {
-	b     []byte
-	i     int
-	short bool
+	b []byte
+	i int
 }
 
 // maxDigits keeps every integer the parser takes inside int64 without an
@@ -140,7 +354,6 @@ func (p *parser) peek() (byte, bool) {
 			return c, true
 		}
 	}
-	p.short = true
 	return 0, false
 }
 
@@ -167,7 +380,6 @@ func (p *parser) raw() ([]byte, bool) {
 			return nil, false
 		}
 	}
-	p.short = true
 	return nil, false
 }
 
@@ -193,24 +405,13 @@ func (p *parser) num(dst *int64) bool {
 	for ; p.i < len(p.b) && '0' <= p.b[p.i] && p.b[p.i] <= '9'; p.i++ {
 		v = v*10 + int64(p.b[p.i]-'0')
 	}
-	// A leading zero is checked before the buffer's end: json.Decoder
-	// stops reading at the digit after it, so must the parser.
-	if n := p.i - start; n > maxDigits || n > 1 && p.b[start] == '0' {
+	// json.Decoder stops at a digit after a leading zero.
+	if n := p.i - start; n == 0 || n > maxDigits || n > 1 && p.b[start] == '0' {
 		return false
-	}
-	if p.i == len(p.b) {
-		// More digits may follow.
-		p.short = true
-		return false
-	}
-	if p.i == start {
-		return false // no digits
 	}
 	if neg {
 		v = -v
 	}
-	// A fraction or an exponent is left unread: the enclosing object or
-	// array wants a comma or its closing bracket next, and fails.
 	*dst = v
 	return true
 }
@@ -233,13 +434,7 @@ func (p *parser) boolean(dst *bool) bool {
 	if c == 't' {
 		lit = "true"
 	}
-	rest := p.b[p.i:]
-	if len(rest) < len(lit) {
-		// A prefix of the literal may continue in the next read.
-		p.short = string(rest) == lit[:len(rest)]
-		return false
-	}
-	if string(rest[:len(lit)]) != lit {
+	if rest := p.b[p.i:]; len(rest) < len(lit) || string(rest[:len(lit)]) != lit {
 		return false
 	}
 	p.i += len(lit)

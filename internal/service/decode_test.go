@@ -119,3 +119,51 @@ func TestBodyAtLimitKeepsConnection(t *testing.T) {
 		t.Errorf("%d connections for 3 keep-alive requests, want 1", n)
 	}
 }
+
+// TestChunkedDecodeAllocs checks that a body cut into many reads costs
+// the direct decoder what it costs in one read: each byte is scanned
+// once and the value parsed once, however the body arrives. A body
+// trickling in past maxDirectReads goes to decodeStrict and must cost
+// about what decodeStrict alone costs.
+func TestChunkedDecodeAllocs(t *testing.T) {
+	batchBody := func(n int) []byte {
+		var batch BatchRequest
+		for i := 0; i < n; i++ {
+			batch.Requests = append(batch.Requests, hotRequest())
+		}
+		body, err := json.Marshal(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return body
+	}
+	direct := func(body []byte, chunk int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if _, err := decodeDirect(&chunkReader{bytes.NewReader(body), chunk}, parseBatch); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small := batchBody(4)
+	whole := direct(small, len(small))
+	for _, chunk := range []int{40, 64} {
+		if reads := len(small)/chunk + 1; reads >= maxDirectReads {
+			t.Fatalf("%d-byte body takes %d reads of %d bytes, want fewer than %d", len(small), reads, chunk, maxDirectReads)
+		}
+		if got := direct(small, chunk); got > whole+2 {
+			t.Errorf("%d-byte batch in %d-byte reads: %.0f allocs, %.0f in one read", len(small), chunk, got, whole)
+		}
+	}
+	large := batchBody(64)
+	for _, chunk := range []int{1, 64} {
+		strict := testing.AllocsPerRun(5, func() {
+			var batch BatchRequest
+			if err := decodeStrict(&chunkReader{bytes.NewReader(large), chunk}, &batch); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got := direct(large, chunk); got > strict+4 {
+			t.Errorf("%d-byte batch in %d-byte reads: %.0f allocs, decodeStrict %.0f", len(large), chunk, got, strict)
+		}
+	}
+}

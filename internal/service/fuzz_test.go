@@ -153,6 +153,8 @@ func FuzzRequestDecoding(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(body, uint8(0), uint16(0))
+		// One byte a Read: past maxDirectReads, decodeStrict takes over.
+		f.Add(body, uint8(1), uint16(0))
 	}
 	f.Fuzz(func(t *testing.T, in []byte, chunk uint8, limit uint16) {
 		checkDecoder(t, "DecodeRequest", in, chunk, limit, DecodeRequest)
