@@ -30,10 +30,16 @@ const (
 // reproducible: the same grid solved twice — or interrupted and resumed —
 // encodes identically.
 func EncodeArtifact(points []PointJSON) ([]byte, error) {
+	return AppendArtifact(make([]byte, 0, len(artifactHead)+len(artifactTail)+len(points)*pointSizeHint), points)
+}
+
+// AppendArtifact appends the artifact EncodeArtifact gives for points to
+// b. On error b comes back with its original contents.
+func AppendArtifact(b []byte, points []PointJSON) ([]byte, error) {
 	if len(points) == 0 {
-		return []byte(artifactEmpty), nil
+		return append(b, artifactEmpty...), nil
 	}
-	b := make([]byte, 0, len(artifactHead)+len(artifactTail)+len(points)*pointSizeHint)
+	start := len(b)
 	b = append(b, artifactHead...)
 	var err error
 	for i := range points {
@@ -41,7 +47,7 @@ func EncodeArtifact(points []PointJSON) ([]byte, error) {
 			b = append(b, artifactSep...)
 		}
 		if b, err = AppendPoint(b, &points[i], true); err != nil {
-			return nil, err
+			return b[:start], err
 		}
 	}
 	return append(b, artifactTail...), nil

@@ -227,10 +227,12 @@ type Cell struct {
 }
 
 // plannedCell pairs a cell's coordinates with its fully resolved (stored
-// table selected, perturbation applied) latency characterisation.
+// table selected, perturbation applied) latency characterisation, an
+// index into the plan's tables: cells of one table and perturbation
+// share it.
 type plannedCell struct {
 	cell Cell
-	lat  platform.LatencyTable
+	lat  int
 }
 
 // SweepPlan is a validated grid lowered to an executable cell list: the
@@ -241,6 +243,7 @@ type plannedCell struct {
 // one implementation, so their results are identical cell for cell.
 type SweepPlan struct {
 	grid  Grid
+	lats  []platform.LatencyTable
 	cells []plannedCell
 }
 
@@ -271,10 +274,15 @@ func (g Grid) Plan(lat platform.LatencyTable) (*SweepPlan, error) {
 		}
 	}
 
-	p := &SweepPlan{grid: g, cells: make([]plannedCell, 0, g.Size())}
+	p := &SweepPlan{
+		grid:  g,
+		lats:  make([]platform.LatencyTable, 0, len(variants)*len(g.Perturbations)),
+		cells: make([]plannedCell, 0, g.Size()),
+	}
 	for _, tv := range variants {
 		for _, pert := range g.Perturbations {
-			lat := pert.apply(tv.lat)
+			lat := len(p.lats)
+			p.lats = append(p.lats, pert.apply(tv.lat))
 			for _, sc := range g.Scenarios {
 				for _, lv := range g.Levels {
 					p.cells = append(p.cells, plannedCell{
@@ -305,7 +313,7 @@ func (p *SweepPlan) Cell(i int) Cell { return p.cells[i].cell }
 // the application's isolation baseline through the engine's memo cache.
 func (r Runner) RunCell(ctx context.Context, p *SweepPlan, i int) (SweepPoint, error) {
 	pc := p.cells[i]
-	pt, err := r.sweepCell(ctx, pc.lat, pc.cell.Scenario, pc.cell.Level, p.grid)
+	pt, err := r.sweepCell(ctx, p.lats[pc.lat], pc.cell.Scenario, pc.cell.Level, p.grid)
 	if err != nil {
 		return SweepPoint{}, fmt.Errorf("experiments: sweep table %q pert %q scenario %d %s: %w",
 			pc.cell.Table, pc.cell.Perturbation, pc.cell.Scenario, pc.cell.Level, err)

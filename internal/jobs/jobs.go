@@ -19,23 +19,28 @@
 // job's artifact is byte-identical to an uninterrupted run's.
 //
 // Each cell is encoded once, when it is recorded (or restored from its
-// checkpoint): its compact point bytes are the checkpoint record and sit
-// inside its progress event, which the job log keeps encoded (Encoded),
-// so streams only frame those bytes. The artifact is encoded once, from
-// the solved points, when the last cell is in; a finished job then drops
-// its points.
+// checkpoint): its compact point bytes are the checkpoint record, and a
+// job's event log is just the order its cells came in, so a stream frames
+// each cell event around those bytes and re-encodes nothing. The artifact
+// is encoded once, when the last cell is in. A done job then keeps only
+// its Meta, its cell order and a pointer to one content-addressed result
+// (the point bytes by grid index and, without a Dir, the artifact),
+// which every done job with the same artifact ID shares, as they share
+// artifacts/<id>.json on disk. The live finish and a restart's reload
+// build that same form, so a finished job's stream is the same bytes from
+// either. Failed and canceled jobs have no artifact and keep their own
+// points.
 package jobs
 
 import (
-	"bytes"
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"strconv"
 
 	"repro/internal/experiments"
+	"repro/internal/jsonenc"
 )
 
 // State is a job's lifecycle phase.
@@ -104,8 +109,9 @@ type Status struct {
 // takes on the wire. Cell events are numbered 1..N in completion order
 // (their Seq doubles as the SSE event ID, so Last-Event-ID resume replays
 // exactly the missed suffix); a terminal state event follows with the
-// next Seq. The job log holds events already encoded (see Encoded);
-// clients decode them into Event.
+// next Seq. The job log holds events in compact form and streams write
+// their JSON directly (Stream.AppendFrames); clients decode them into
+// Event.
 type Event struct {
 	Seq int `json:"seq"`
 	// Type is "cell" or "state".
@@ -124,22 +130,12 @@ type Event struct {
 	Artifact string `json:"artifact,omitempty"`
 }
 
-// Encoded is one progress event as the job log keeps it and Subscribe
-// hands it out: JSON is byte for byte json.Marshal of the Event, built
-// once when the event is logged, so no stream re-encodes it.
-type Encoded struct {
-	Seq int
-	// Type is the Event's Type, "cell" or "state".
-	Type string
-	JSON []byte
-}
-
-// encodeCell builds a cell event around pt's compact encoding. It
-// returns the event and the point's bytes inside it, which are also the
-// cell's checkpoint record.
-func encodeCell(seq, idx, done, total int, pt *experiments.PointJSON) (Encoded, []byte, error) {
-	var scratch [1024]byte
-	b := append(scratch[:0], `{"seq":`...)
+// appendCellEvent appends the JSON of the cell event with sequence
+// number seq — byte for byte json.Marshal of its Event — around pt, the
+// cell's compact point bytes. A cell event's Done equals its Seq: cells
+// are logged one per event, before any other event.
+func appendCellEvent(b []byte, seq, idx, total int, pt []byte) []byte {
+	b = append(b, `{"seq":`...)
 	b = strconv.AppendInt(b, int64(seq), 10)
 	b = append(b, `,"type":"cell"`...)
 	if idx != 0 { // omitempty
@@ -147,29 +143,34 @@ func encodeCell(seq, idx, done, total int, pt *experiments.PointJSON) (Encoded, 
 		b = strconv.AppendInt(b, int64(idx), 10)
 	}
 	b = append(b, `,"done":`...)
-	b = strconv.AppendInt(b, int64(done), 10)
+	b = strconv.AppendInt(b, int64(seq), 10)
 	b = append(b, `,"total":`...)
 	b = strconv.AppendInt(b, int64(total), 10)
 	b = append(b, `,"point":`...)
-	start := len(b)
-	b, err := experiments.AppendPoint(b, pt, false)
-	if err != nil {
-		return Encoded{}, nil, err
-	}
-	end := len(b)
-	data := bytes.Clone(append(b, '}'))
-	return Encoded{Seq: seq, Type: "cell", JSON: data}, data[start:end:end], nil
+	b = append(b, pt...)
+	return append(b, '}')
 }
 
-// encodeState encodes a job's terminal transition as its state event.
-func encodeState(seq int, meta Meta, done int) Encoded {
-	ev := Event{
-		Seq: seq, Type: "state",
-		Done: done, Total: meta.TotalCells,
-		State: meta.State, Error: meta.Error, Artifact: meta.Artifact,
+// appendStateEvent appends the JSON of a terminal state event, byte for
+// byte json.Marshal of its Event.
+func appendStateEvent(b []byte, seq, done int, meta *Meta) []byte {
+	b = append(b, `{"seq":`...)
+	b = strconv.AppendInt(b, int64(seq), 10)
+	b = append(b, `,"type":"state","done":`...)
+	b = strconv.AppendInt(b, int64(done), 10)
+	b = append(b, `,"total":`...)
+	b = strconv.AppendInt(b, int64(meta.TotalCells), 10)
+	b = append(b, `,"state":`...)
+	b = jsonenc.AppendString(b, string(meta.State))
+	if meta.Error != "" {
+		b = append(b, `,"error":`...)
+		b = jsonenc.AppendString(b, meta.Error)
 	}
-	data, _ := json.Marshal(ev) // strings and ints only: cannot fail
-	return Encoded{Seq: seq, Type: ev.Type, JSON: data}
+	if meta.Artifact != "" {
+		b = append(b, `,"artifact":`...)
+		b = jsonenc.AppendString(b, meta.Artifact)
+	}
+	return append(b, '}')
 }
 
 // Typed submission and access errors.

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"log/slog"
 	"os"
@@ -25,7 +26,7 @@ import (
 var lat = platform.TC27xLatencies()
 
 // newStore builds a store serving the TC27x table under the default ref.
-func newStore(t *testing.T) *tabstore.Store {
+func newStore(t testing.TB) *tabstore.Store {
 	t.Helper()
 	store, err := tabstore.Open("")
 	if err != nil {
@@ -82,7 +83,7 @@ func open(t *testing.T, dir string, store *tabstore.Store) *Manager {
 }
 
 // waitState polls until the job reaches a terminal state.
-func waitState(t *testing.T, m *Manager, id string, want State) Status {
+func waitState(t testing.TB, m *Manager, id string, want State) Status {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
 	for {
@@ -103,7 +104,7 @@ func waitState(t *testing.T, m *Manager, id string, want State) Status {
 	}
 }
 
-func closeNow(t *testing.T, m *Manager) {
+func closeNow(t testing.TB, m *Manager) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -151,6 +152,48 @@ func TestJobLifecycle(t *testing.T) {
 	}
 }
 
+// frame is one event as a stream framed it.
+type frame struct {
+	Seq  int
+	Type string
+	JSON []byte
+}
+
+// appendTestHead heads each frame with a "<seq> <type>" line; the event
+// JSON (which holds no raw newline) follows on a line of its own.
+func appendTestHead(b []byte, seq int, typ string) []byte {
+	return fmt.Appendf(b, "%d %s\n", seq, typ)
+}
+
+// parseFrames splits what appendTestHead and a "\n" tail framed.
+func parseFrames(t testing.TB, b []byte) []frame {
+	t.Helper()
+	lines := strings.Split(string(b), "\n")
+	var out []frame
+	for i := 0; i+1 < len(lines); i += 2 {
+		var f frame
+		if _, err := fmt.Sscanf(lines[i], "%d %s", &f.Seq, &f.Type); err != nil {
+			t.Fatalf("frame head %q: %v", lines[i], err)
+		}
+		f.JSON = []byte(lines[i+1])
+		out = append(out, f)
+	}
+	return out
+}
+
+// readStream frames a stream to its end: the replay, then each wake-up's
+// events.
+func readStream(t testing.TB, st *Stream) []frame {
+	t.Helper()
+	defer st.Close()
+	b, ended := st.AppendFrames(nil, appendTestHead, "\n")
+	for !ended {
+		<-st.Wake()
+		b, ended = st.AppendFrames(b, appendTestHead, "\n")
+	}
+	return parseFrames(t, b)
+}
+
 func TestJobEventsAndSubscribeReplay(t *testing.T) {
 	store := newStore(t)
 	m := open(t, t.TempDir(), store)
@@ -162,11 +205,18 @@ func TestJobEventsAndSubscribeReplay(t *testing.T) {
 	}
 	waitState(t, m, st.ID, StateDone)
 
-	replay, ch, cancel, err := m.Subscribe(st.ID, 0)
+	stream, err := m.Subscribe(st.ID, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cancel()
+	if stream.Wake() != nil {
+		t.Fatal("a terminal job's stream should never wake")
+	}
+	b, ended := stream.AppendFrames(nil, appendTestHead, "\n")
+	if !ended {
+		t.Fatal("a terminal job's replay should end the stream")
+	}
+	replay := parseFrames(t, b)
 	if len(replay) != 7 { // 6 cells + terminal
 		t.Fatalf("replay length %d, want 7", len(replay))
 	}
@@ -176,35 +226,33 @@ func TestJobEventsAndSubscribeReplay(t *testing.T) {
 			t.Fatal(err)
 		}
 		if enc.Seq != i+1 || last.Seq != enc.Seq || last.Type != enc.Type {
-			t.Fatalf("event %d is %+v, encoded as seq %d type %q", i, last, enc.Seq, enc.Type)
+			t.Fatalf("event %d is %+v, framed as seq %d type %q", i, last, enc.Seq, enc.Type)
 		}
 	}
 	if last.Type != "state" || last.State != StateDone || last.Artifact == "" {
 		t.Fatalf("terminal event %+v", last)
 	}
-	if _, open := <-ch; open {
-		t.Fatal("channel of a terminal job should be closed")
+	if b, ended := stream.AppendFrames(nil, appendTestHead, "\n"); len(b) != 0 || !ended {
+		t.Fatalf("a stream past its terminal event framed %q (ended %v)", b, ended)
 	}
 
 	// Resume mid-stream: afterSeq 3 replays exactly events 4..7.
-	replay, _, cancel2, err := m.Subscribe(st.ID, 3)
+	stream, err = m.Subscribe(st.ID, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cancel2()
-	if len(replay) != 4 || replay[0].Seq != 4 {
-		t.Fatalf("partial replay %+v", replay)
+	if partial := readStream(t, stream); len(partial) != 4 || partial[0].Seq != 4 {
+		t.Fatalf("partial replay %+v", partial)
 	}
 
-	if _, _, _, err := m.Subscribe("j-nope", 0); !errors.Is(err, ErrNotFound) {
+	if _, err := m.Subscribe("j-nope", 0); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("unknown job subscribe: %v", err)
 	}
 }
 
 // TestConcurrentSubscribers subscribes from several goroutines while a
-// job runs: whenever each one joins, its replay (a shared prefix of the
-// log) and its live events together are the whole log, in order, and
-// every subscriber sees the same bytes for each event.
+// job runs: whenever each one joins, it frames the whole log, in order,
+// and every subscriber sees the same bytes for each event.
 func TestConcurrentSubscribers(t *testing.T) {
 	m := open(t, "", newStore(t))
 	defer closeNow(t, m)
@@ -213,23 +261,19 @@ func TestConcurrentSubscribers(t *testing.T) {
 		t.Fatal(err)
 	}
 	const subscribers = 8
-	got := make([][]Encoded, subscribers)
+	got := make([][]frame, subscribers)
 	var wg sync.WaitGroup
 	for i := range got {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			time.Sleep(time.Duration(i) * time.Millisecond)
-			replay, live, cancel, err := m.Subscribe(st.ID, 0)
+			stream, err := m.Subscribe(st.ID, 0)
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			defer cancel()
-			got[i] = append(got[i], replay...)
-			for ev := range live {
-				got[i] = append(got[i], ev)
-			}
+			got[i] = readStream(t, stream)
 		}(i)
 	}
 	wg.Wait()
@@ -294,7 +338,7 @@ func doctorToRunning(t *testing.T, dir, id string, keepCells int, tornTail []byt
 }
 
 // runToDone submits spec and returns (job id, artifact bytes).
-func runToDone(t *testing.T, m *Manager, spec Spec) (string, []byte) {
+func runToDone(t testing.TB, m *Manager, spec Spec) (string, []byte) {
 	t.Helper()
 	st, err := m.Submit(spec, "tc27x/default")
 	if err != nil {

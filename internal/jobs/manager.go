@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -62,41 +63,56 @@ type Config struct {
 	Logger *slog.Logger
 }
 
-// subscriber is one live progress stream.
-type subscriber struct {
-	ch     chan Encoded
-	closed bool
+// result is one content-addressed campaign result, shared by every done
+// job whose artifact hashes to the same ID, the way artifacts/<id>.json
+// is shared on disk: each cell's compact point bytes by grid index (what
+// a finished job's stream frames) and, when the manager is in-memory, the
+// artifact itself. Both are immutable once stored.
+type result struct {
+	points [][]byte
+	data   []byte
 }
 
-// closedStream is the live channel handed to subscribers of a terminal
-// job: closed, so they drain the replay and stop.
-var closedStream = func() chan Encoded {
-	ch := make(chan Encoded)
-	close(ch)
-	return ch
-}()
-
-// job is the in-memory state of one campaign job.
+// job is the in-memory state of one campaign job. Its event log is kept
+// in compact form: cell event k is cell order[k-1], whose point bytes
+// are its checkpoint record, and the terminal event follows from meta.
+// A done job holds only meta, order and res.
 type job struct {
 	mu   sync.Mutex
 	meta Meta
-	// points holds each solved cell's point by grid index until the
-	// artifact is encoded; terminal jobs drop it. done counts the solved
-	// cells.
-	points map[int]experiments.PointJSON
-	done   int
-	// log is the event log, sized for every cell and the terminal event;
-	// it is append-only, so Subscribe hands out its prefix.
-	log    []Encoded
-	subs   map[*subscriber]struct{}
+	// order lists the grid index of every logged cell in Seq order, sized
+	// for every cell; it is append-only, so a stream reads its prefix.
+	// Its length is the job's done count.
+	order []int32
+	// points holds each logged cell's compact point bytes by grid index,
+	// carved from arena, until the job is done; it then gives way to
+	// res. Failed and canceled jobs keep their own.
+	points [][]byte
+	arena  []byte
+	res    *result
+	// pts holds each solved cell's point by grid index until the
+	// artifact is encoded; terminal jobs drop it.
+	pts    []experiments.PointJSON
+	subs   map[*Stream]struct{}
 	cancel context.CancelFunc
 	// ckpt appends completed cells to the checkpoint log (nil when the
 	// manager is in-memory). It is opened before run starts and closed
 	// when run returns.
 	ckpt *store.Log
-	// artifact holds the encoded results when the manager is in-memory
-	// (no Dir to read them back from).
-	artifact []byte
+}
+
+// newJob builds the in-memory state of a job with no cells logged;
+// unfinished jobs also get room for their points.
+func newJob(meta Meta) *job {
+	j := &job{
+		meta:   meta,
+		order:  make([]int32, 0, meta.TotalCells),
+		points: make([][]byte, meta.TotalCells),
+	}
+	if !meta.State.Terminal() {
+		j.pts = make([]experiments.PointJSON, meta.TotalCells)
+	}
+	return j
 }
 
 // Manager owns the campaign jobs of one daemon: admission, execution at
@@ -112,11 +128,17 @@ type Manager struct {
 
 	mu   sync.Mutex
 	jobs map[string]*job
+	// results holds the shared result of every done job by artifact ID.
+	results map[string]*result
 	// active counts the pending and running jobs: raised on admission and
 	// resume, lowered at the terminal transition, so admission and the
 	// jobs_active gauge never scan the retained jobs.
 	active  int
 	closing bool
+
+	// artifactHook, when set, runs between a done job's artifact and its
+	// terminal transition: tests open streams in that window.
+	artifactHook func(id string)
 }
 
 // Open builds a manager and, when cfg.Dir is set, loads every persisted
@@ -146,6 +168,7 @@ func Open(cfg Config) (*Manager, error) {
 		baseCtx: ctx,
 		stop:    stop,
 		jobs:    make(map[string]*job),
+		results: make(map[string]*result),
 	}
 	if cfg.Dir != "" {
 		if err := os.MkdirAll(m.artifactsDir(), 0o755); err != nil {
@@ -200,21 +223,16 @@ func (m *Manager) loadAll() error {
 			m.cfg.Logger.Warn("jobs: checkpoint tail unverifiable, truncating",
 				"id", id, "goodCells", len(load.order), "goodBytes", load.goodBytes)
 		}
-		j := &job{
-			meta: meta,
-			log:  make([]Encoded, 0, meta.TotalCells+1),
-			subs: make(map[*subscriber]struct{}),
-		}
-		if !meta.State.Terminal() {
-			j.points = load.points
-		}
+		j := newJob(meta)
 		if err := j.restore(load); err != nil {
 			m.cfg.Logger.Warn("jobs: skipping job with unencodable checkpoint", "id", id, "err", err)
 			continue
 		}
-		if meta.State.Terminal() {
-			j.log = append(j.log, encodeState(len(j.log)+1, meta, j.done))
-		} else {
+		if meta.State == StateDone {
+			m.mu.Lock()
+			m.share(j, meta.Artifact, nil)
+			m.mu.Unlock()
+		} else if !meta.State.Terminal() {
 			// Cut the unverifiable tail before appends resume.
 			if j.ckpt, err = store.OpenLog(m.ckptPath(id), load.goodBytes); err != nil {
 				m.cfg.Logger.Warn("jobs: cannot reopen checkpoint", "id", id, "err", err)
@@ -232,9 +250,9 @@ func (m *Manager) loadAll() error {
 		jctx, cancel := context.WithCancel(m.baseCtx)
 		j.cancel = cancel
 		mResumed.Inc()
-		mCellsRestored.Add(int64(j.done))
+		mCellsRestored.Add(int64(len(j.order)))
 		m.cfg.Logger.Info("jobs: resuming",
-			"id", j.meta.ID, "done", j.done, "total", j.meta.TotalCells)
+			"id", j.meta.ID, "done", len(j.order), "total", j.meta.TotalCells)
 		m.wg.Add(1)
 		go m.run(jctx, j, nil)
 	}
@@ -293,28 +311,61 @@ func readJSONFile(path string, v any) error {
 	return json.Unmarshal(data, v)
 }
 
-// restore logs the cells of a checkpoint read back, in log order.
+// restore logs the cells of a checkpoint read back, in log order, the
+// way recordCell logs them live.
 func (j *job) restore(ck checkpoint) error {
 	for _, idx := range ck.order {
 		pt := ck.points[idx]
-		if _, _, err := j.addCell(idx, &pt); err != nil {
+		if _, err := j.addCell(idx, &pt); err != nil {
 			return err
+		}
+		if j.pts != nil {
+			j.pts[idx] = pt
 		}
 	}
 	return nil
 }
 
-// addCell logs one solved cell's event; the caller holds j.mu or owns
-// j. The cell is encoded once, here: the point bytes inside its event
-// are returned as the checkpoint record.
-func (j *job) addCell(idx int, pt *experiments.PointJSON) (Encoded, []byte, error) {
-	ev, raw, err := encodeCell(len(j.log)+1, idx, j.done+1, j.meta.TotalCells, pt)
+// addCell logs one solved cell; the caller holds j.mu or owns j. The
+// cell is encoded once, here, into the job's arena: the compact point
+// bytes are returned as its checkpoint record, and every stream frames
+// its event around them.
+func (j *job) addCell(idx int, pt *experiments.PointJSON) ([]byte, error) {
+	var scratch [1024]byte
+	enc, err := experiments.AppendPoint(scratch[:0], pt, false)
 	if err != nil {
-		return Encoded{}, nil, err
+		return nil, err
 	}
-	j.done++
-	j.log = append(j.log, ev)
-	return ev, raw, nil
+	if cap(j.arena)-len(j.arena) < len(enc) {
+		// Room for the cells still to come, if they encode about as
+		// long as this one.
+		left := j.meta.TotalCells - len(j.order)
+		j.arena = make([]byte, 0, (len(enc)+len(enc)/8)*left)
+	}
+	start := len(j.arena)
+	j.arena = append(j.arena, enc...)
+	raw := j.arena[start:len(j.arena):len(j.arena)]
+	j.points[idx] = raw
+	j.order = append(j.order, int32(idx))
+	return raw, nil
+}
+
+// share attaches j's result, the content of artifact id (data is the
+// artifact when the manager is in-memory), and drops the job's own copy
+// of its points. A complete job shares the one result stored under id,
+// storing its own points and a copy of data there when id is new; an
+// incomplete one (its checkpoint lost lines) keeps a result of its own.
+// The caller holds m.mu, and j.mu or owns j.
+func (m *Manager) share(j *job, id string, data []byte) {
+	res, ok := m.results[id]
+	if !ok || len(j.order) != j.meta.TotalCells {
+		res = &result{points: j.points, data: bytes.Clone(data)}
+		if len(j.order) == j.meta.TotalCells {
+			m.results[id] = res
+		}
+	}
+	j.res = res
+	j.points, j.arena = nil, nil
 }
 
 // Submit validates, persists and starts one campaign job. defaultTable
@@ -364,12 +415,7 @@ func (m *Manager) Submit(spec Spec, defaultTable string) (Status, error) {
 		m.mu.Unlock()
 		return Status{}, err
 	}
-	j := &job{
-		meta:   meta,
-		points: make(map[int]experiments.PointJSON, meta.TotalCells),
-		log:    make([]Encoded, 0, meta.TotalCells+1),
-		subs:   make(map[*subscriber]struct{}),
-	}
+	j := newJob(meta)
 	jctx, cancel := context.WithCancel(m.baseCtx)
 	j.cancel = cancel
 	m.jobs[id] = j
@@ -434,7 +480,7 @@ func (m *Manager) run(ctx context.Context, j *job, plan *experiments.SweepPlan) 
 	j.mu.Lock()
 	j.meta.State = StateRunning
 	meta := j.meta
-	done := j.done
+	done := len(j.order)
 	j.mu.Unlock()
 	if err := m.persistMeta(meta); err != nil {
 		m.fail(j, err)
@@ -470,7 +516,7 @@ func (m *Manager) run(ctx context.Context, j *job, plan *experiments.SweepPlan) 
 	j.mu.Lock()
 	remaining := make([]int, 0, meta.TotalCells-done)
 	for i := 0; i < meta.TotalCells; i++ {
-		if _, ok := j.points[i]; !ok {
+		if j.points[i] == nil {
 			remaining = append(remaining, i)
 		}
 	}
@@ -498,7 +544,7 @@ func (m *Manager) run(ctx context.Context, j *job, plan *experiments.SweepPlan) 
 			// running so the next process resumes from the checkpoint.
 			return
 		}
-		m.finish(j, StateCanceled, "canceled", "")
+		m.finish(j, StateCanceled, "canceled", "", nil)
 		return
 	}
 	var errs []error
@@ -512,24 +558,24 @@ func (m *Manager) run(ctx context.Context, j *job, plan *experiments.SweepPlan) 
 		return
 	}
 
-	// Assemble the artifact in grid order and content-address it.
+	// Every cell is in, so nothing writes the points any more. Encode
+	// the artifact in grid order into a pooled buffer and content-address
+	// it; share copies the bytes only under an ID seen for the first
+	// time.
 	j.mu.Lock()
-	points := make([]experiments.PointJSON, meta.TotalCells)
-	complete := true
-	for i := 0; i < meta.TotalCells; i++ {
-		pt, ok := j.points[i]
-		if !ok {
-			complete = false
-			break
-		}
-		points[i] = pt
-	}
+	complete := len(j.order) == meta.TotalCells
+	pts := j.pts
 	j.mu.Unlock()
 	if !complete {
 		m.fail(j, fmt.Errorf("jobs: internal: cells missing after a clean run"))
 		return
 	}
-	data, err := experiments.EncodeArtifact(points)
+	buf := artifactBufs.Get().(*[]byte)
+	data, err := experiments.AppendArtifact((*buf)[:0], pts)
+	if cap(data) <= maxPooledArtifactBuf {
+		*buf = data[:0]
+		defer artifactBufs.Put(buf)
+	}
 	if err != nil {
 		m.fail(j, err)
 		return
@@ -540,13 +586,19 @@ func (m *Manager) run(ctx context.Context, j *job, plan *experiments.SweepPlan) 
 			m.fail(j, err)
 			return
 		}
-	} else {
-		j.mu.Lock()
-		j.artifact = data
-		j.mu.Unlock()
+		data = nil // read back from disk
 	}
-	m.finish(j, StateDone, "", id)
+	if m.artifactHook != nil {
+		m.artifactHook(meta.ID)
+	}
+	m.finish(j, StateDone, "", id, data)
 }
+
+// artifactBufs recycles the buffers artifacts are encoded into; the
+// buffer of a very large grid's artifact is left to the GC.
+var artifactBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledArtifactBuf = 1 << 20
 
 // recordCell logs one completed cell, checkpoints it and fans its event
 // out to subscribers. A cell that cannot be encoded (a NaN or infinite
@@ -554,53 +606,45 @@ func (m *Manager) run(ctx context.Context, j *job, plan *experiments.SweepPlan) 
 func (m *Manager) recordCell(j *job, idx int, pt experiments.PointJSON) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if _, dup := j.points[idx]; dup {
+	if j.points[idx] != nil {
 		return nil
 	}
-	ev, raw, err := j.addCell(idx, &pt)
+	raw, err := j.addCell(idx, &pt)
 	if err != nil {
 		return err
 	}
-	j.points[idx] = pt
+	j.pts[idx] = pt
 	if err := j.ckpt.Append(int64(idx), raw); err != nil {
 		// The cell result is still held in memory; losing the append
 		// only costs a re-solve after a crash.
 		m.cfg.Logger.Warn("jobs: checkpoint append failed", "id", j.meta.ID, "cell", idx, "err", err)
 	}
 	mCellsSolved.Inc()
-	m.fanout(j, ev, false)
+	j.wakeStreams()
 	return nil
 }
 
-// fanout delivers ev to j's subscribers; the caller holds j.mu. A
-// subscriber that cannot keep up is closed — its client re-syncs with
-// Last-Event-ID. terminal additionally closes every stream.
-func (m *Manager) fanout(j *job, ev Encoded, terminal bool) {
+// wakeStreams tells j's open streams that an event was logged; the
+// caller holds j.mu. A stream that has not yet taken an earlier wake-up
+// already has one pending: it frames every event logged since.
+func (j *job) wakeStreams() {
 	for s := range j.subs {
-		if s.closed {
-			continue
-		}
 		select {
-		case s.ch <- ev:
+		case s.wake <- struct{}{}:
 		default:
-			s.closed = true
-			close(s.ch)
-			delete(j.subs, s)
-			continue
-		}
-		if terminal {
-			s.closed = true
-			close(s.ch)
-			delete(j.subs, s)
 		}
 	}
 }
 
-// finish moves j to a terminal state, persists it and emits the terminal
-// event. The active count drops under the same locks as the state
+// finish moves j to a terminal state, persists it and logs the terminal
+// event. A done job's artifact is content-addressed as artifact (data is
+// its bytes when the manager is in-memory): j takes the shared result in
+// the same critical section as its terminal state, so every stream sees
+// either the running job with its own points or the done job with the
+// shared ones. The active count drops under the same locks as the state
 // changes, so a submission that sees the job terminal also sees its slot
 // free.
-func (m *Manager) finish(j *job, state State, errText, artifact string) {
+func (m *Manager) finish(j *job, state State, errText, artifact string, data []byte) {
 	m.mu.Lock()
 	j.mu.Lock()
 	if !j.meta.State.Terminal() {
@@ -610,13 +654,22 @@ func (m *Manager) finish(j *job, state State, errText, artifact string) {
 	j.meta.State = state
 	j.meta.Error = errText
 	j.meta.Artifact = artifact
-	j.points = nil
+	j.pts, j.arena = nil, nil
+	if state == StateDone {
+		m.share(j, artifact, data)
+	}
 	meta := j.meta
-	ev := encodeState(len(j.log)+1, meta, j.done)
-	j.log = append(j.log, ev)
-	m.fanout(j, ev, true)
+	j.wakeStreams()
+	j.subs = nil
+	// Release the job's context from the manager's, which would hold it
+	// for the daemon's lifetime.
+	cancel := j.cancel
+	j.cancel = nil
 	j.mu.Unlock()
 	m.mu.Unlock()
+	if cancel != nil {
+		cancel()
+	}
 
 	if err := m.persistMeta(meta); err != nil {
 		m.cfg.Logger.Error("jobs: persisting terminal state failed", "id", meta.ID, "err", err)
@@ -632,7 +685,7 @@ func (m *Manager) fail(j *job, err error) {
 	if len(text) > maxErrText {
 		text = text[:maxErrText] + " …"
 	}
-	m.finish(j, StateFailed, text, "")
+	m.finish(j, StateFailed, text, "", nil)
 }
 
 // Get returns a job's status.
@@ -645,7 +698,7 @@ func (m *Manager) Get(id string) (Status, error) {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return Status{Meta: j.meta, DoneCells: j.done}, nil
+	return Status{Meta: j.meta, DoneCells: len(j.order)}, nil
 }
 
 // List returns every job's status, newest first.
@@ -659,7 +712,7 @@ func (m *Manager) List() []Status {
 	out := make([]Status, 0, len(js))
 	for _, j := range js {
 		j.mu.Lock()
-		out = append(out, Status{Meta: j.meta, DoneCells: j.done})
+		out = append(out, Status{Meta: j.meta, DoneCells: len(j.order)})
 		j.mu.Unlock()
 	}
 	sort.Slice(out, func(a, b int) bool {
@@ -683,7 +736,7 @@ func (m *Manager) Cancel(id string) (Status, error) {
 	j.mu.Lock()
 	terminal := j.meta.State.Terminal()
 	cancel := j.cancel
-	st := Status{Meta: j.meta, DoneCells: j.done}
+	st := Status{Meta: j.meta, DoneCells: len(j.order)}
 	j.mu.Unlock()
 	if !terminal && cancel != nil {
 		cancel()
@@ -704,12 +757,14 @@ func (m *Manager) Artifact(id string) ([]byte, string, error) {
 	}
 	j.mu.Lock()
 	artID := j.meta.Artifact
-	inMem := j.artifact
+	var data []byte
+	if j.res != nil {
+		data = j.res.data
+	}
 	j.mu.Unlock()
 	if artID == "" {
 		return nil, "", ErrNoArtifact
 	}
-	data := inMem
 	if m.cfg.Dir != "" {
 		var err error
 		data, err = os.ReadFile(m.artifactPath(artID))
@@ -726,45 +781,89 @@ func (m *Manager) Artifact(id string) ([]byte, string, error) {
 	return data, artID, nil
 }
 
-// Subscribe opens a progress stream: the replay of every logged event
-// with Seq > afterSeq, then a live channel. The channel closes after the
-// terminal event (or on overflow, or when cancel is called). afterSeq 0
-// replays from the start — exactly the SSE Last-Event-ID contract. The
-// replay shares the job's log, which is append-only: callers must not
-// modify it.
-func (m *Manager) Subscribe(id string, afterSeq int) ([]Encoded, <-chan Encoded, func(), error) {
+// Stream is one open progress stream of a job: a position in its event
+// log. Events are framed from the job's compact form when a stream
+// reaches them, so every stream of a job, live or replayed, before or
+// after a restart, writes the same bytes. One goroutine reads a Stream.
+type Stream struct {
+	j *job
+	// next is the Seq of the next event to frame.
+	next int
+	// wake receives when the job logs an event; nil when the job was
+	// terminal at Subscribe.
+	wake chan struct{}
+}
+
+// Subscribe opens a progress stream positioned after event afterSeq: the
+// first AppendFrames frames every logged event with Seq > afterSeq.
+// afterSeq 0 replays from the start — exactly the SSE Last-Event-ID
+// contract. Close releases the stream.
+func (m *Manager) Subscribe(id string, afterSeq int) (*Stream, error) {
 	m.mu.Lock()
 	j, ok := m.jobs[id]
 	m.mu.Unlock()
 	if !ok {
-		return nil, nil, nil, ErrNotFound
+		return nil, ErrNotFound
 	}
+	s := &Stream{j: j, next: max(afterSeq, 0) + 1}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if afterSeq < 0 {
-		afterSeq = 0
-	}
-	var replay []Encoded
-	if n := len(j.log); afterSeq < n {
-		replay = j.log[afterSeq:n:n]
-	}
-	if j.meta.State.Terminal() {
-		// The replay already ends with the terminal event; hand back a
-		// closed channel so the caller drains and stops.
-		return replay, closedStream, func() {}, nil
-	}
-	s := &subscriber{ch: make(chan Encoded, 256)}
-	j.subs[s] = struct{}{}
-	cancel := func() {
-		j.mu.Lock()
-		defer j.mu.Unlock()
-		if !s.closed {
-			s.closed = true
-			close(s.ch)
+	if !j.meta.State.Terminal() {
+		s.wake = make(chan struct{}, 1)
+		if j.subs == nil {
+			j.subs = make(map[*Stream]struct{})
 		}
-		delete(j.subs, s)
+		j.subs[s] = struct{}{}
 	}
-	return replay, s.ch, cancel, nil
+	return s, nil
+}
+
+// Wake receives when the job has logged an event the stream may not
+// have framed yet. A stream that has reached the end never wakes.
+func (s *Stream) Wake() <-chan struct{} { return s.wake }
+
+// AppendFrames appends every event logged past the stream's position to
+// b, in Seq order, and moves the stream past them. Each event goes out
+// as head(b, seq, type), its JSON — byte for byte json.Marshal of its
+// Event — and tail: cell events are framed around the cells' point
+// bytes, nothing is encoded again. It reports whether the stream has
+// reached the end, the job's terminal event.
+func (s *Stream) AppendFrames(b []byte, head func(b []byte, seq int, typ string) []byte, tail string) ([]byte, bool) {
+	j := s.j
+	j.mu.Lock()
+	// Cells already logged never change, and later ones go past the
+	// prefix taken here, so the frames are built outside the lock.
+	order, points, meta := j.order, j.points, j.meta
+	if j.res != nil {
+		points = j.res.points
+	}
+	j.mu.Unlock()
+	for ; s.next <= len(order); s.next++ {
+		b = head(b, s.next, "cell")
+		idx := int(order[s.next-1])
+		b = appendCellEvent(b, s.next, idx, meta.TotalCells, points[idx])
+		b = append(b, tail...)
+	}
+	if !meta.State.Terminal() {
+		return b, false
+	}
+	if s.next == len(order)+1 {
+		b = head(b, s.next, "state")
+		b = appendStateEvent(b, s.next, len(order), &meta)
+		b = append(b, tail...)
+		s.next++
+	}
+	return b, true
+}
+
+// Close releases the stream.
+func (s *Stream) Close() {
+	if s.wake == nil {
+		return
+	}
+	s.j.mu.Lock()
+	delete(s.j.subs, s)
+	s.j.mu.Unlock()
 }
 
 // Close stops accepting submissions, cancels running jobs and waits for

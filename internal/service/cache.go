@@ -7,13 +7,11 @@ import (
 	"repro/internal/telemetry"
 )
 
-// cached is one content-addressed analysis result: the decoded response
-// (*Response for v1 entries, *V2Response for v2 entries — batch fan-out
-// needs the decoded v1 form) plus its canonical JSON encoding (what the
-// single-estimate endpoints write verbatim). Both are immutable once
-// stored; every cache consumer shares them read-only.
+// cached is one content-addressed analysis result: its canonical JSON
+// encoding, which the single-estimate endpoints write verbatim and
+// /v1/batch splices into its items. It is immutable once stored; every
+// cache consumer shares it read-only.
 type cached struct {
-	resp any
 	body []byte
 }
 

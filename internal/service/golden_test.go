@@ -2,12 +2,15 @@ package service
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/campaign"
 )
 
 // The golden fixtures freeze the /v1 wire format as it was before the
@@ -213,4 +216,43 @@ func TestV1GoldenCLI(t *testing.T) {
 			checkGolden(t, "v1_wcet_"+tc.name, out.Bytes())
 		})
 	}
+}
+
+// TestBatchSplicedBytes checks appendBatch against EncodeJSON of the
+// BatchResponse it stands for: an empty batch, responses with and without
+// an RTA block, an error that needs escaping and one with no message.
+func TestBatchSplicedBytes(t *testing.T) {
+	var (
+		outcomes []campaign.Outcome[*cached]
+		items    []BatchItem
+	)
+	check := func() {
+		t.Helper()
+		var want bytes.Buffer
+		if err := EncodeJSON(&want, BatchResponse{Results: items}); err != nil {
+			t.Fatal(err)
+		}
+		if got := appendBatch(nil, outcomes); !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("spliced batch differs:\n got: %s\nwant: %s", got, want.Bytes())
+		}
+	}
+	items = []BatchItem{}
+	check()
+	for _, req := range []Request{sampleRequest(0), sampleRequest(3), hotRequest()} {
+		resp, err := Evaluate(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := encodeRetained(resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		outcomes = append(outcomes, campaign.Outcome[*cached]{Value: &cached{body: body}})
+		items = append(items, BatchItem{Response: resp})
+	}
+	for _, msg := range []string{`bad "input" <&> é`, ""} {
+		outcomes = append(outcomes, campaign.Outcome[*cached]{Err: errors.New(msg)})
+		items = append(items, BatchItem{Error: msg})
+	}
+	check()
 }

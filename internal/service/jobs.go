@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/experiments"
 	"repro/internal/jobs"
@@ -116,8 +117,9 @@ func (s *Server) handleCampaignArtifact(w http.ResponseWriter, r *http.Request, 
 // (header, or lastEventId query parameter for plain curl) and receives
 // exactly the missed suffix — the replay comes from the in-memory event
 // log, which survives restarts because it is rebuilt from the
-// checkpoint. Events arrive encoded, so the handler only frames them;
-// the replay goes out as one flushed write, each live event as another.
+// checkpoint. The job frames its events into the handler's buffer; the
+// replay goes out as one flushed write, and each later wake-up writes the
+// events logged since in another.
 // The stream ends after the terminal event, on client disconnect, or
 // when graceful shutdown closes streamDone.
 func (s *Server) handleCampaignStream(w http.ResponseWriter, r *http.Request, id string) {
@@ -143,12 +145,12 @@ func (s *Server) handleCampaignStream(w http.ResponseWriter, r *http.Request, id
 		afterSeq = n
 	}
 
-	replay, live, cancel, err := s.jobs.Subscribe(id, afterSeq)
+	st, err := s.jobs.Subscribe(id, afterSeq)
 	if err != nil {
 		jobError(w, err)
 		return
 	}
-	defer cancel()
+	defer st.Close()
 
 	// The headers go out with the replay in one flush, even when there is
 	// nothing to replay yet, so the client observes the stream as open
@@ -158,42 +160,42 @@ func (s *Server) handleCampaignStream(w http.ResponseWriter, r *http.Request, id
 	s.metrics.campaignStreams.Add(1)
 	defer s.metrics.campaignStreams.Add(-1)
 
-	size := 0
-	for _, ev := range replay {
-		size += len(ev.JSON) + frameOverhead
-	}
-	buf := make([]byte, 0, size)
-	for _, ev := range replay {
-		buf = appendFrame(buf, ev.Seq, ev.Type, ev.JSON)
-	}
-	ended := len(replay) > 0 && replay[len(replay)-1].Type == "state"
-	if !sse.write(buf) || ended {
-		return
-	}
+	bufp := frameBufs.Get().(*[]byte)
+	buf, ended := st.AppendFrames((*bufp)[:0], appendFrameHead, frameTail)
+	defer func() {
+		if cap(buf) <= maxPooledFrameBuf {
+			*bufp = buf[:0]
+			frameBufs.Put(bufp)
+		}
+	}()
 	for {
-		select {
-		case <-r.Context().Done():
+		if !sse.write(buf) || ended {
 			return
-		case <-s.streamDone:
-			// Graceful shutdown: tell the client the stream is pausing,
-			// not that the job ended — it resumes via Last-Event-ID
-			// against the restarted daemon.
-			sse.send("drain", struct{}{})
-			return
-		case ev, open := <-live:
-			if !open {
-				// Subscriber buffer overflowed and the manager dropped
-				// us; the client reconnects with Last-Event-ID to
-				// re-sync.
+		}
+		for buf = buf[:0]; len(buf) == 0 && !ended; {
+			select {
+			case <-r.Context().Done():
 				return
-			}
-			buf = appendFrame(buf[:0], ev.Seq, ev.Type, ev.JSON)
-			if !sse.write(buf) || ev.Type == "state" {
+			case <-s.streamDone:
+				// Graceful shutdown: tell the client the stream is
+				// pausing, not that the job ended — it resumes via
+				// Last-Event-ID against the restarted daemon.
+				sse.send("drain", struct{}{})
 				return
+			case <-st.Wake():
+				buf, ended = st.AppendFrames(buf, appendFrameHead, frameTail)
 			}
 		}
 	}
 }
+
+// frameBufs recycles campaign streams' frame buffers; one holds a
+// finished job's whole replay.
+var frameBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledFrameBuf keeps the buffers of very large replays out of the
+// pool.
+const maxPooledFrameBuf = 256 << 10
 
 // jobError maps jobs-package errors onto HTTP statuses.
 func jobError(w http.ResponseWriter, err error) {

@@ -351,13 +351,17 @@ func (s sseWriter) write(frames []byte) bool {
 	return true
 }
 
-// frameOverhead bounds a campaign event frame's bytes beyond its data:
-// the id, event and data line prefixes and the blank line.
-const frameOverhead = 40
-
 // appendFrame appends one SSE frame: an `id:` line when id is positive,
 // the event name and data.
 func appendFrame(b []byte, id int, event string, data []byte) []byte {
+	b = appendFrameHead(b, id, event)
+	b = append(b, data...)
+	return append(b, frameTail...)
+}
+
+// appendFrameHead appends an SSE frame up to its data; the data and
+// frameTail complete it.
+func appendFrameHead(b []byte, id int, event string) []byte {
 	if id > 0 {
 		b = append(b, "id: "...)
 		b = strconv.AppendInt(b, int64(id), 10)
@@ -365,10 +369,11 @@ func appendFrame(b []byte, id int, event string, data []byte) []byte {
 	}
 	b = append(b, "event: "...)
 	b = append(b, event...)
-	b = append(b, "\ndata: "...)
-	b = append(b, data...)
-	return append(b, "\n\n"...)
+	return append(b, "\ndata: "...)
 }
+
+// frameTail ends an SSE frame.
+const frameTail = "\n\n"
 
 // handleStatsStream serves /v2/stats/stream: an SSE stream of periodic
 // `event: stats` telemetry snapshots. `interval` (milliseconds, default

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/calib"
 	"repro/internal/campaign"
 	"repro/internal/jobs"
+	"repro/internal/jsonenc"
 	"repro/internal/obs"
 	"repro/internal/tabstore"
 	"repro/internal/telemetry"
@@ -570,7 +572,7 @@ func (s *Server) evaluateEncoded(ctx context.Context, sdkReq wcet.Request, v api
 	if err != nil {
 		return nil, err
 	}
-	return &cached{resp: resp, body: body}, nil
+	return &cached{body: body}, nil
 }
 
 // requestCtx applies the per-request timeout.
@@ -780,15 +782,60 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	out := BatchResponse{Results: make([]BatchItem, len(outcomes))}
-	for i, o := range outcomes {
-		if o.Err != nil {
-			out.Results[i] = BatchItem{Error: o.Err.Error()}
-		} else {
-			out.Results[i] = BatchItem{Response: o.Value.resp.(*Response)}
-		}
+	buf := getEncodeBuf()
+	defer putEncodeBuf(buf)
+	buf.Write(appendBatch(buf.AvailableBuffer(), outcomes))
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = w.Write(buf.Bytes())
+}
+
+// The layout EncodeJSON gives a BatchResponse: items two levels deep,
+// their members three.
+const (
+	batchHead   = "{\n  \"results\": [\n"
+	batchTail   = "\n  ]\n}\n"
+	batchEmpty  = "{\n  \"results\": []\n}\n"
+	batchIndent = "      "
+)
+
+// appendBatch appends the /v1/batch response for outcomes, byte for byte
+// what EncodeJSON gives for their BatchResponse. A result's cached
+// canonical body is spliced in, indented to its depth: the body is laid
+// out from depth 0, and JSON strings hold no raw line break, so each line
+// break in it gains the member indent. Errors are encoded as they come.
+func appendBatch(b []byte, outcomes []campaign.Outcome[*cached]) []byte {
+	if len(outcomes) == 0 {
+		return append(b, batchEmpty...)
 	}
-	writeJSON(w, http.StatusOK, out)
+	b = append(b, batchHead...)
+	for i, o := range outcomes {
+		if i > 0 {
+			b = append(b, ",\n"...)
+		}
+		b = append(b, "    {"...)
+		if o.Err == nil {
+			b = append(b, "\n"+batchIndent+`"response": `...)
+			body := bytes.TrimSuffix(o.Value.body, []byte("\n"))
+			for {
+				nl := bytes.IndexByte(body, '\n')
+				if nl < 0 {
+					break
+				}
+				b = append(b, body[:nl+1]...)
+				b = append(b, batchIndent...)
+				body = body[nl+1:]
+			}
+			b = append(b, body...)
+		} else if msg := o.Err.Error(); msg != "" { // omitempty
+			b = append(b, "\n"+batchIndent+`"error": `...)
+			b = jsonenc.AppendString(b, msg)
+		} else {
+			b = append(b, '}')
+			continue
+		}
+		b = append(b, "\n    }"...)
+	}
+	return append(b, batchTail...)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

@@ -63,28 +63,45 @@ func copyTree(t *testing.T, src string) string {
 	return dst
 }
 
-// eventsSum hashes the events as json.Marshal encodes a []jobs.Event:
-// each event's JSON, comma-separated, in brackets.
-func eventsSum(events []jobs.Encoded) string {
+// eventsSum hashes events as json.Marshal encodes a []jobs.Event: each
+// event's JSON, comma-separated, in brackets.
+func eventsSum(events [][]byte) string {
 	h := sha256.New()
 	h.Write([]byte{'['})
 	for i, ev := range events {
 		if i > 0 {
 			h.Write([]byte{','})
 		}
-		h.Write(ev.JSON)
+		h.Write(ev)
 	}
 	h.Write([]byte{']'})
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-func replay(t *testing.T, m *jobs.Manager, id string) []jobs.Encoded {
+// replay returns the JSON of every event of a finished job's stream.
+func replay(t *testing.T, m *jobs.Manager, id string) [][]byte {
 	t.Helper()
-	events, _, cancel, err := m.Subscribe(id, 0)
+	st, err := m.Subscribe(id, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cancel()
+	defer st.Close()
+	var starts []int
+	b, ended := st.AppendFrames(nil, func(b []byte, _ int, _ string) []byte {
+		starts = append(starts, len(b))
+		return b
+	}, "")
+	if !ended {
+		t.Fatalf("job %s has not finished", id)
+	}
+	events := make([][]byte, len(starts))
+	for i, start := range starts {
+		end := len(b)
+		if i+1 < len(starts) {
+			end = starts[i+1]
+		}
+		events[i] = b[start:end]
+	}
 	return events
 }
 

@@ -11,7 +11,9 @@
 # wire: start wcetd with a persistent -data dir, submit a 24-cell sweep,
 # SIGKILL the daemon mid-job, restart it over the same dirs, and assert
 # the job resumes from its checkpoint, finishes, and serves an artifact
-# byte-identical to `cmd/experiments -only sweep -json` for the same grid.
+# byte-identical to `cmd/experiments -only sweep -json` for the same grid;
+# after a clean SIGTERM restart, the finished job's stream must be the
+# bytes it served before.
 #
 # A third phase exercises the observability layer: metrics history fills
 # and is queryable, a traced request's stored trace is retrievable by ID,
@@ -355,6 +357,9 @@ if [ "$cells" -ne 24 ]; then
 fi
 grep -q '^event: state' "$replay"
 grep -q '"state":"done"' "$replay"
+# A mid-stream resume of the finished job, compared after the restart
+# below.
+curl -fsS -m 30 -N "http://$ADDR/v2/campaigns/$JOB_ID/stream?lastEventId=12" >"$WORK/replay-12.txt"
 
 echo "serve-smoke: campaign artifact byte-identical to offline sweep"
 curl -fsS "http://$ADDR/v2/campaigns/$JOB_ID/artifact" >"$WORK/artifact.json"
@@ -376,6 +381,18 @@ echo "serve-smoke: observability daemon"
 "$BIN" -addr "$ADDR" -data "$DATA" -history-interval 200ms &
 PID=$!
 wait_health "$PID"
+
+echo "serve-smoke: finished campaign stream byte-identical across a clean restart"
+# The restarted daemon rebuilds the done job from its checkpoint; its
+# stream, from the start and mid-stream, must be the bytes served before.
+for after in 0 12; do
+  curl -fsS -m 30 -N "http://$ADDR/v2/campaigns/$JOB_ID/stream?lastEventId=$after" >"$WORK/restarted-$after.txt"
+done
+if ! cmp -s "$replay" "$WORK/restarted-0.txt" || ! cmp -s "$WORK/replay-12.txt" "$WORK/restarted-12.txt"; then
+  echo "serve-smoke: finished campaign stream changed across a clean restart" >&2
+  diff "$replay" "$WORK/restarted-0.txt" | head -20 >&2 || true
+  exit 1
+fi
 
 echo "serve-smoke: traced request stored and retrievable by id"
 curl -fsS -D "$WORK/obs_headers" -X POST "http://$ADDR/v1/wcet" \
