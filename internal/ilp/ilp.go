@@ -33,6 +33,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/lp"
@@ -102,11 +103,12 @@ type Problem struct {
 	cons    []savedCons
 	integer []bool
 	// termArena backs every constraint's term slice (see lp.Problem for
-	// the aliasing discipline); rel is the relaxation rebuilt in place by
-	// each Solve. Both survive Reset so a pooled Problem rebuilds its
-	// model with no steady-state allocation.
+	// the aliasing discipline), rel the relaxation rebuilt in place by
+	// each Solve and bb its search state. All survive Reset: a pooled
+	// Problem rebuilds its model and searches without allocating.
 	termArena []lp.Term
 	rel       relaxation
+	bb        search
 }
 
 type savedCons struct {
@@ -265,11 +267,19 @@ const intTol = 1e-6
 // presolve, matching the LP's phase-1 infeasibility threshold.
 const feasTol = 1e-7
 
-type node struct {
-	lower, upper []float64
-	// bound is the parent relaxation objective, used for best-first
-	// ordering and pruning.
-	bound float64
+// pending is an unexplored node: its parent's bounds, which undoing the
+// trail to mark restores, with variable v narrowed to [lo, hi] (the root,
+// v < 0, narrows nothing). parent is the parent relaxation objective,
+// used for pruning and for the open bound.
+type pending struct {
+	mark, v        int32
+	lo, hi, parent float64
+}
+
+// undo is a trail entry: variable v's bounds before a node narrowed them.
+type undo struct {
+	v      int32
+	lo, hi float64
 }
 
 // solverPool recycles lp.Solvers (and with them their tableau arenas)
@@ -299,13 +309,18 @@ func (p *Problem) Solve(opts Options) (Solution, error) {
 	solver := solverPool.Get().(*lp.Solver)
 	mPoolGets.Inc()
 	mILPSolves.Inc()
-	s := &search{
+	s := &p.bb
+	*s = search{
 		p:        p,
 		rel:      rel,
 		solver:   solver,
 		opts:     opts,
 		maxNodes: maxNodes,
 		bestObj:  math.Inf(-1),
+		stack:    s.stack[:0],
+		trail:    s.trail[:0],
+		lower:    append(s.lower[:0], p.lower...),
+		upper:    append(s.upper[:0], p.upper...),
 	}
 	statsBase := solver.Stats()
 	defer func() {
@@ -318,6 +333,7 @@ func (p *Problem) Solve(opts Options) (Solution, error) {
 		mPivots.Add(d.Pivots - statsBase.Pivots)
 		mBBNodes.Add(int64(s.nodes))
 		solverPool.Put(solver)
+		s.solver, s.bestX = nil, nil // owned by the pool and the Solution
 	}()
 
 	// When every objective coefficient is integral and every variable
@@ -335,8 +351,7 @@ func (p *Problem) Solve(opts Options) (Solution, error) {
 	}
 
 	s.rootBound = math.Inf(1)
-	root := node{lower: s.cloneOf(p.lower), upper: s.cloneOf(p.upper), bound: math.Inf(1)}
-	s.stack = append(s.stack, root)
+	s.stack = append(s.stack, pending{v: -1, parent: math.Inf(1)})
 
 	if err := s.run(); err != nil {
 		return Solution{}, err
@@ -344,7 +359,10 @@ func (p *Problem) Solve(opts Options) (Solution, error) {
 	return s.finish(statsBase)
 }
 
-// search is the branch & bound state of one Solve.
+// search is the branch & bound state of one Solve. lower and upper hold
+// the current node's bounds; the trail records what each node on the
+// path from the root narrowed, so the state is O(depth), not O(depth ×
+// vars). Marks on the last-in, first-out stack never decrease.
 type search struct {
 	p        *Problem
 	rel      *relaxation
@@ -354,31 +372,27 @@ type search struct {
 
 	objIntegral bool
 
-	stack     []node
+	stack        []pending
+	trail        []undo
+	lower, upper []float64
+
 	nodes     int
 	bestX     []float64 // incumbent, by variable index; nil when none yet
 	bestObj   float64
 	rootBound float64
-
-	// free recycles node storage: a popped node's slices are dead once
-	// its children are copied, so the steady-state search allocates no
-	// per-node storage.
-	free [][]float64
 }
 
-func (s *search) cloneOf(src []float64) []float64 {
-	var dst []float64
-	if k := len(s.free); k > 0 {
-		dst, s.free = s.free[k-1][:len(src)], s.free[:k-1]
-	} else {
-		dst = make([]float64, len(src))
+// enter makes lower and upper the bounds of node n.
+func (s *search) enter(n pending) {
+	for k := len(s.trail) - 1; k >= int(n.mark); k-- {
+		u := s.trail[k]
+		s.lower[u.v], s.upper[u.v] = u.lo, u.hi
 	}
-	copy(dst, src)
-	return dst
-}
-
-func (s *search) recycle(n node) {
-	s.free = append(s.free, n.lower, n.upper)
+	s.trail = s.trail[:n.mark]
+	if n.v >= 0 {
+		s.trail = append(s.trail, undo{n.v, s.lower[n.v], s.upper[n.v]})
+		s.lower[n.v], s.upper[n.v] = n.lo, n.hi
+	}
 }
 
 func (s *search) dominated(bound, incumbent float64) bool {
@@ -396,8 +410,8 @@ func (s *search) dominated(bound, incumbent float64) bool {
 func (s *search) openBound() float64 {
 	ub := math.Inf(-1)
 	for _, n := range s.stack {
-		if n.bound > ub {
-			ub = n.bound
+		if n.parent > ub {
+			ub = n.parent
 		}
 	}
 	if !math.IsInf(s.rootBound, 1) && s.rootBound < ub {
@@ -417,18 +431,17 @@ func (s *search) run() error {
 		// Depth-first: take the most recent node.
 		n := s.stack[len(s.stack)-1]
 		s.stack = s.stack[:len(s.stack)-1]
-		if s.dominated(n.bound, s.bestObj) {
-			s.recycle(n)
+		if s.dominated(n.parent, s.bestObj) {
 			continue // parent bound already dominated
 		}
 
-		status, obj, x, err := s.rel.solve(s.solver, s.p, n)
+		s.enter(n)
+		status, obj, x, err := s.rel.solve(s.solver, s.p, s.lower, s.upper)
 		if err != nil {
 			return err
 		}
 		switch status {
 		case lp.Infeasible:
-			s.recycle(n)
 			continue
 		case lp.Unbounded:
 			// An unbounded relaxation at the root means the ILP is
@@ -439,7 +452,6 @@ func (s *search) run() error {
 			s.rootBound = obj
 		}
 		if s.dominated(obj, s.bestObj) {
-			s.recycle(n)
 			continue
 		}
 
@@ -461,7 +473,6 @@ func (s *search) run() error {
 			// names are attached once, after the search.
 			s.bestObj = obj
 			s.bestX = append(s.bestX[:0], x...)
-			s.recycle(n)
 			// With an integral objective, an incumbent matching the
 			// floored root relaxation bound is provably optimal — stop
 			// without draining the plateau of equal-bound nodes.
@@ -480,24 +491,17 @@ func (s *search) run() error {
 		// last): following the LP solution finds a strong incumbent in a
 		// handful of dives even on large symmetric instances.
 		xb := x[branch]
-		up := node{lower: s.cloneOf(n.lower), upper: s.cloneOf(n.upper), bound: obj}
-		up.lower[branch] = math.Ceil(xb)
-		down := node{lower: s.cloneOf(n.lower), upper: s.cloneOf(n.upper), bound: obj}
-		down.upper[branch] = math.Floor(xb)
+		v, mark := int32(branch), int32(len(s.trail))
+		up := pending{mark, v, math.Ceil(xb), s.upper[branch], obj}
+		down := pending{mark, v, s.lower[branch], math.Floor(xb), obj}
 		first, second := down, up // nearest child goes second (popped first)
 		if xb-math.Floor(xb) > 0.5 {
 			first, second = up, down
 		}
-		s.recycle(n)
-		if first.lower[branch] <= first.upper[branch] {
-			s.stack = append(s.stack, first)
-		} else {
-			s.recycle(first)
-		}
-		if second.lower[branch] <= second.upper[branch] {
-			s.stack = append(s.stack, second)
-		} else {
-			s.recycle(second)
+		for _, c := range [2]pending{first, second} {
+			if c.lo <= c.hi {
+				s.stack = append(s.stack, c)
+			}
 		}
 	}
 	return nil
@@ -561,8 +565,9 @@ func (p *Problem) buildRelaxation() (*relaxation, error) {
 	} else {
 		rel.rp.Reset()
 	}
-	rel.lpIdx = resizeInts(rel.lpIdx, len(p.names))
-	rel.x = resizeFloats(rel.x, len(p.names))
+	// Both are overwritten entry by entry: only their length matters.
+	rel.lpIdx = slices.Grow(rel.lpIdx[:0], len(p.names))[:len(p.names)]
+	rel.x = slices.Grow(rel.x[:0], len(p.names))[:len(p.names)]
 	for j := range p.names {
 		if p.lower[j] == p.upper[j] {
 			rel.lpIdx[j] = -1
@@ -604,15 +609,15 @@ func (p *Problem) buildRelaxation() (*relaxation, error) {
 	return rel, nil
 }
 
-// solve evaluates one node's relaxation: move the LP bounds to the node's
-// and re-solve, taking the Solver's warm-start path whenever the tableau
-// layout is unchanged. The returned x is rel's scratch vector, valid until
+// solve evaluates one node's relaxation: move the LP bounds to lower and
+// upper and re-solve, taking the Solver's warm-start path whenever the
+// tableau layout is unchanged. The returned x is rel's scratch vector, valid until
 // the next call; the objective is recomputed over the full vector in
 // variable order so presolve does not perturb bound values.
-func (rel *relaxation) solve(s *lp.Solver, p *Problem, n node) (lp.Status, float64, []float64, error) {
+func (rel *relaxation) solve(s *lp.Solver, p *Problem, lower, upper []float64) (lp.Status, float64, []float64, error) {
 	for j, li := range rel.lpIdx {
 		if li >= 0 {
-			rel.rp.SetBounds(li, n.lower[j], n.upper[j])
+			rel.rp.SetBounds(li, lower[j], upper[j])
 		}
 	}
 	sol, err := s.Solve(rel.rp)
@@ -634,20 +639,4 @@ func (rel *relaxation) solve(s *lp.Solver, p *Problem, n node) (lp.Status, float
 		obj += p.obj[j] * xj
 	}
 	return lp.Optimal, obj, rel.x, nil
-}
-
-// resizeInts returns buf with length n, reusing its backing array when
-// large enough. Contents are unspecified; callers overwrite every entry.
-func resizeInts(buf []int, n int) []int {
-	if cap(buf) < n {
-		return make([]int, n)
-	}
-	return buf[:n]
-}
-
-func resizeFloats(buf []float64, n int) []float64 {
-	if cap(buf) < n {
-		return make([]float64, n)
-	}
-	return buf[:n]
 }

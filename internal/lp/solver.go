@@ -68,7 +68,7 @@ type Solver struct {
 	d     []float64 // reduced costs under the phase-2 cost vector
 	dOn   bool      // pivots maintain d
 
-	blocked  []bool    // columns barred from entering (artificials in phase 2)
+	blocked  []bool    // columns barred from entering (artificials in phase 2); empty in phase 1
 	cost     []float64 // scratch cost vector
 	shiftRHS []float64 // post-shift, post-flip RHS of the last build
 	scratch  []float64 // candidate RHS during warm validation
@@ -227,7 +227,7 @@ func (s *Solver) warmSolve(p *Problem) (Solution, bool, error) {
 		enter := -1
 		var best float64
 		for j := 0; j < s.nCols; j++ {
-			if row[j] >= -tol || (s.blocked != nil && s.blocked[j]) {
+			if row[j] >= -tol || (j < len(s.blocked) && s.blocked[j]) {
 				continue
 			}
 			dj := s.d[j]
@@ -318,7 +318,7 @@ func (s *Solver) coldSolve(p *Problem) (Solution, error) {
 	s.cost = resizeFloat(s.cost, nCols)
 	s.shiftRHS = resizeFloat(s.shiftRHS, m)
 	copy(s.shiftRHS, s.scratch[:m])
-	s.blocked = nil
+	s.blocked = s.blocked[:0]
 	s.dOn = false
 
 	// Pass 2: fill the matrix in the same element order as a fresh
@@ -493,7 +493,7 @@ func (s *Solver) minimize(cost []float64) (float64, Status, error) {
 	for iter := 0; iter < maxIter; iter++ {
 		enter := -1
 		for j := 0; j < s.nCols; j++ {
-			if s.blocked != nil && s.blocked[j] {
+			if j < len(s.blocked) && s.blocked[j] {
 				continue
 			}
 			if s.d[j] < -tol {
