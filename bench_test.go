@@ -455,7 +455,7 @@ func shutdownAfter(b *testing.B, srv *service.Server) {
 // canonical-request cache hit rate (duplicate submissions must be served
 // without re-solving the ILP).
 func BenchmarkWCETServiceBatch(b *testing.B) {
-	srv := service.New(benchServeConfig(b, service.Config{MaxInFlight: 256, QueueDepth: 1024}), nil)
+	srv := service.New(benchServeConfig(b, service.Config{QueueDepth: 1024}), nil)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	shutdownAfter(b, srv)
@@ -509,7 +509,7 @@ func BenchmarkWCETServiceBatch(b *testing.B) {
 // cache exists for — run with -cpu 1,2,4 to see the single-mutex ceiling
 // it replaced.
 func BenchmarkCacheHitParallel(b *testing.B) {
-	srv := service.New(benchServeConfig(b, service.Config{MaxInFlight: 256, QueueDepth: 1024}), nil)
+	srv := service.New(benchServeConfig(b, service.Config{QueueDepth: 1024}), nil)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	shutdownAfter(b, srv)
@@ -580,7 +580,7 @@ func BenchmarkCampaignJob(b *testing.B) {
 	// in `go test` output (which merges the binary's stderr) and break
 	// benchstat parsing — discard them.
 	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
-	srv := service.New(service.Config{MaxInFlight: 256, QueueDepth: 1024, MaxJobs: 1 << 20, Logger: quiet}, nil)
+	srv := service.New(service.Config{QueueDepth: 1024, MaxJobs: 1 << 20, Logger: quiet}, nil)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	client := benchClient(b, 1)
@@ -699,7 +699,7 @@ func BenchmarkCampaignJob(b *testing.B) {
 // eviction, shard routing) and the solver pool under contention, not
 // just shard reads.
 func BenchmarkServeSaturated(b *testing.B) {
-	srv := service.New(benchServeConfig(b, service.Config{MaxInFlight: 256, QueueDepth: 1024}), nil)
+	srv := service.New(benchServeConfig(b, service.Config{QueueDepth: 1024}), nil)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	shutdownAfter(b, srv)

@@ -51,10 +51,11 @@
 // analysis evaluates under it with no restart.
 //
 // Identical requests are served from a sharded canonical-request result
-// cache, so repeat submissions cost zero solver time. Admission control
-// bounds concurrent work (-max-inflight), queues a bounded overflow
-// (-queue), and times requests out (-timeout). SIGINT/SIGTERM drain
-// gracefully.
+// cache, so repeat submissions cost zero solver time. Misses solve on the
+// campaign worker pool: -workers of them run at once, up to -queue more
+// wait for a worker, and admission control rejects the rest with 429.
+// -timeout bounds each request, its wait for a worker and its solve
+// included. SIGINT/SIGTERM drain gracefully.
 package main
 
 import (
@@ -78,11 +79,10 @@ import (
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address")
-	workers := flag.Int("workers", 0, "batch worker-pool width (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "worker-pool width: how many analysis solves run at once (0 = GOMAXPROCS)")
 	cacheEntries := flag.Int("cache", 1024, "canonical-request cache capacity (entries)")
-	maxInFlight := flag.Int("max-inflight", 64, "admission-control concurrency limit")
-	queueDepth := flag.Int("queue", 256, "admission queue depth beyond the concurrency limit")
-	timeout := flag.Duration("timeout", 30*time.Second, "per-request timeout (queue wait included)")
+	queueDepth := flag.Int("queue", 256, "analysis requests that may wait for a worker before admission rejects with 429")
+	timeout := flag.Duration("timeout", 30*time.Second, "per-request timeout (worker wait and solve included)")
 	maxBody := flag.Int64("max-body", 8<<20, "request body size limit in bytes")
 	maxBatch := flag.Int("max-batch", 4096, "maximum requests per batch")
 	dataDir := flag.String("data", "", "latency-table store directory (empty: in-memory, tables are lost on exit)")
@@ -129,7 +129,6 @@ func main() {
 	srv := service.New(service.Config{
 		Workers:              *workers,
 		CacheEntries:         *cacheEntries,
-		MaxInFlight:          *maxInFlight,
 		QueueDepth:           *queueDepth,
 		RequestTimeout:       *timeout,
 		MaxBodyBytes:         *maxBody,

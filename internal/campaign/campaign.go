@@ -79,10 +79,10 @@ type Engine struct {
 	// while its goroutine holds a slot. A single campaign is unaffected
 	// (its caller and at most workers-1 helpers work it, each holding at
 	// most one slot), but concurrent campaigns — the serving layer runs
-	// every cache miss and batch request as its own campaign — share the
-	// one bounded pool instead of multiplying it. Jobs must not schedule
-	// new campaigns on the same engine: with every slot held by their
-	// parents, the nested campaign would deadlock.
+	// every cache miss and batch request as its own campaign, on its
+	// handler's goroutine and under its deadline — share the one bounded
+	// pool. Jobs must not schedule new campaigns on the same engine: with
+	// every slot held by their parents, the nested campaign would deadlock.
 	slots chan struct{}
 
 	// bgTickets caps how many slots Background work may hold at once:

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
@@ -57,6 +58,8 @@ type PTACOptions struct {
 	// so it stays a sound worst case regardless of the gap — the gap only
 	// trades (at most that many cycles of) tightness for solve time.
 	Gap float64
+	// Ctx stops the branch & bound when done (ilp.Options.Ctx).
+	Ctx context.Context
 }
 
 // ptacBuilder accumulates the ILP formulation. Builders are pooled: every
@@ -91,7 +94,7 @@ func newPTACBuilder(in Input, opts PTACOptions) *ptacBuilder {
 // release returns the builder to the pool, dropping input references so
 // pooled builders do not pin caller data.
 func (b *ptacBuilder) release() {
-	b.in = Input{}
+	b.in, b.opts = Input{}, PTACOptions{}
 	builderPool.Put(b)
 }
 
@@ -140,7 +143,7 @@ func ILPPTAC(in Input, opts PTACOptions) (Estimate, error) {
 	if gap <= 0 {
 		gap = defaultGap(in.Lat)
 	}
-	sol, err := b.p.Solve(ilp.Options{MaxNodes: opts.MaxNodes, Gap: gap})
+	sol, err := b.p.Solve(ilp.Options{MaxNodes: opts.MaxNodes, Gap: gap, Ctx: opts.Ctx})
 	if err != nil {
 		return Estimate{}, fmt.Errorf("core: ILP-PTAC (%s, %s mode): %w", in.Scenario.Name, opts.StallMode, err)
 	}

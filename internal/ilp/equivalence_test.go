@@ -1,12 +1,14 @@
 package ilp
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -271,16 +273,39 @@ func equivalenceSpecs() []ilpSpec {
 var pooledProblems = sync.Pool{New: func() any { return New() }}
 
 // checkEquivalent solves sp with Solve twice on a pooled problem and once
-// with referenceSolve, and requires all three to agree exactly.
-func checkEquivalent(t *testing.T, sp ilpSpec) {
+// with referenceSolve, and requires all three to agree exactly. Solve
+// runs under a live context, so its deadline checks must not move the
+// search. With cancelled set the context is done before the search
+// starts: Solve must then fail with context.Canceled and return the zero
+// Solution, unless presolve alone proves the program infeasible (no
+// search runs, so nothing is stopped).
+func checkEquivalent(t *testing.T, sp ilpSpec, cancelled bool) {
 	t.Helper()
 	p := pooledProblems.Get().(*Problem)
 	defer pooledProblems.Put(p)
 	p.Reset()
 	sp.build(p)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	opts := sp.opts
+	opts.Ctx = ctx
+	if cancelled {
+		cancel()
+		_, presolveErr := p.buildRelaxation()
+		got, err := p.Solve(opts)
+		switch {
+		case presolveErr != nil && (err == nil || err.Error() != presolveErr.Error()):
+			t.Fatalf("cancelled solve of a presolve-infeasible program: error %v, want %v", err, presolveErr)
+		case presolveErr == nil && !errors.Is(err, context.Canceled):
+			t.Fatalf("cancelled solve: error %v, want context.Canceled\nspec %+v", err, sp)
+		case !reflect.DeepEqual(got, Solution{}):
+			t.Fatalf("cancelled solve returned %+v, want the zero Solution", got)
+		}
+		return
+	}
 	want, wantErr := referenceSolve(p, sp.opts)
 	for run := 1; run <= 2; run++ {
-		got, err := p.Solve(sp.opts)
+		got, err := p.Solve(opts)
 		if diff := solutionDiff(got, err, want, wantErr); diff != "" {
 			t.Fatalf("solve %d differs from the reference: %s\nspec %+v", run, diff, sp)
 		}
@@ -344,15 +369,20 @@ func TestEquivalenceInputs(t *testing.T) {
 }
 
 // FuzzSearchEquivalence requires Solve to reproduce the reference branch
-// & bound bit for bit on random integer programs. The committed corpus
-// holds the Table 5 ILP-PTAC programs (table5-scenario1 closes at the
-// root, table5-scenario2 takes 2,551 nodes).
+// & bound bit for bit on random integer programs, and a Solve whose
+// context is cancelled to return no Solution at all. The committed
+// corpus holds the Table 5 ILP-PTAC programs (table5-scenario1 closes at
+// the root, table5-scenario2 takes 2,551 nodes, and
+// table5-scenario2-cancelled is that search under a cancelled context).
 func FuzzSearchEquivalence(f *testing.F) {
-	for _, sp := range equivalenceSpecs() {
-		f.Add(sp.encode())
+	for i, sp := range equivalenceSpecs() {
+		f.Add(sp.encode(), false)
+		if i%4 == 0 {
+			f.Add(sp.encode(), true)
+		}
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		checkEquivalent(t, decodeSpec(data))
+	f.Fuzz(func(t *testing.T, data []byte, cancelled bool) {
+		checkEquivalent(t, decodeSpec(data), cancelled)
 	})
 }
 
@@ -363,9 +393,10 @@ func table5Seed(t testing.TB, name string) ilpSpec {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The corpus file format: a header line, then one []byte("...") line.
-	lines := strings.SplitN(strings.TrimSpace(string(raw)), "\n", 2)
-	lit := strings.TrimSuffix(strings.TrimPrefix(lines[len(lines)-1], "[]byte("), ")")
+	// The corpus file format: a header line, then one line per fuzz
+	// argument; the program is the []byte("...") line.
+	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+	lit := strings.TrimSuffix(strings.TrimPrefix(lines[1], "[]byte("), ")")
 	data, err := strconv.Unquote(lit)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
@@ -393,6 +424,47 @@ func TestTable5Seeds(t *testing.T) {
 		}
 		if sol.Nodes != tc.nodes || sol.UpperBound != tc.bound {
 			t.Errorf("%s: %d nodes, bound %g; want %d, %g", tc.name, sol.Nodes, sol.UpperBound, tc.nodes, tc.bound)
+		}
+	}
+}
+
+// stopAfter is a context that turns done on its n-th Err call.
+type stopAfter struct {
+	context.Context
+	n int
+}
+
+func (c *stopAfter) Err() error {
+	if c.n--; c.n <= 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestTable5StopsOnContext stops Table 5 scenario 2's 2,551-node search
+// before its first node and at its third context check (node 128): both
+// are errors wrapping context.Canceled, and neither returns a bound.
+func TestTable5StopsOnContext(t *testing.T) {
+	sp := table5Seed(t, "table5-scenario2")
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		ctx   context.Context
+		nodes int
+	}{
+		{cancelled, 0},
+		{&stopAfter{context.Background(), 3}, 2 * ctxCheckNodes},
+	} {
+		p := New()
+		sp.build(p)
+		opts := sp.opts
+		opts.Ctx = tc.ctx
+		sol, err := p.Solve(opts)
+		if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), fmt.Sprintf("after %d nodes", tc.nodes)) {
+			t.Errorf("error %v, want context.Canceled after %d nodes", err, tc.nodes)
+		}
+		if !reflect.DeepEqual(sol, Solution{}) {
+			t.Errorf("stopped after %d nodes, returned %+v; want the zero Solution", tc.nodes, sol)
 		}
 	}
 }

@@ -30,6 +30,7 @@
 package ilp
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -255,9 +256,15 @@ type Options struct {
 	// have plateaus that exact search must enumerate; a gap of one
 	// request latency collapses them while UpperBound stays sound.
 	Gap float64
+	// Ctx, when done, stops the search with an error wrapping Ctx.Err()
+	// and no Solution. A nil Ctx never stops.
+	Ctx context.Context
 }
 
 const defaultMaxNodes = 1_000_000
+
+// ctxCheckNodes is how many nodes the search explores per look at Ctx.
+const ctxCheckNodes = 64
 
 // intTol is the integrality tolerance: relaxation values this close to an
 // integer are accepted as integral.
@@ -333,7 +340,7 @@ func (p *Problem) Solve(opts Options) (Solution, error) {
 		mPivots.Add(d.Pivots - statsBase.Pivots)
 		mBBNodes.Add(int64(s.nodes))
 		solverPool.Put(solver)
-		s.solver, s.bestX = nil, nil // owned by the pool and the Solution
+		s.solver, s.bestX, s.opts.Ctx = nil, nil, nil // owned by the pool, the Solution, the caller
 	}()
 
 	// When every objective coefficient is integral and every variable
@@ -421,11 +428,17 @@ func (s *search) openBound() float64 {
 }
 
 // run executes the depth-first loop until the tree is closed or one of the
-// early stop conditions (proved optimum, gap cutoff) holds.
+// early stop conditions (proved optimum, gap cutoff) holds. The node
+// limit and a done Ctx stop it with an error: a cut search proves no bound.
 func (s *search) run() error {
 	for len(s.stack) > 0 {
 		if s.nodes >= s.maxNodes {
 			return fmt.Errorf("%w (%d nodes)", ErrNodeLimit, s.nodes)
+		}
+		if s.nodes%ctxCheckNodes == 0 && s.opts.Ctx != nil {
+			if err := s.opts.Ctx.Err(); err != nil {
+				return fmt.Errorf("ilp: branch & bound stopped after %d nodes: %w", s.nodes, err)
+			}
 		}
 		s.nodes++
 		// Depth-first: take the most recent node.

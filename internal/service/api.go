@@ -268,11 +268,10 @@ func Evaluate(req Request) (*Response, error) {
 // for the version the request arrived on. v2 lists the selected estimates
 // in request order; v1 is the projection of the fixed pair Prepare
 // selected, Estimates[0] being ftc and Estimates[1] ilpPtac. ctx carries
-// trace spans only: evaluation runs to completion even if the request
-// that started it is cancelled, because singleflight followers may still
-// be waiting on the result.
+// the trace spans and stops the solve: a stopped evaluation fails with an
+// error that wraps ctx.Err().
 func evaluate(ctx context.Context, an *wcet.Analyzer, sdkReq wcet.Request, v apiVersion) (any, error) {
-	res, err := an.Analyze(context.WithoutCancel(ctx), sdkReq)
+	res, err := an.Analyze(ctx, sdkReq)
 	if err != nil {
 		return nil, err
 	}

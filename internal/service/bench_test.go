@@ -99,7 +99,7 @@ func BenchmarkColdEvaluate(b *testing.B) {
 func BenchmarkSustainedBatchThroughput(b *testing.B) {
 	const batchSize = 16
 	const uniquePool = 32
-	s := New(Config{MaxInFlight: 256, QueueDepth: 1024}, nil)
+	s := New(Config{QueueDepth: 1024}, nil)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	// One idle connection per client goroutine, so requests reuse their

@@ -49,7 +49,6 @@ type serverMetrics struct {
 	rejected   *telemetry.Counter // wcetd_rejected_overload_total
 	canceled   *telemetry.Counter // wcetd_canceled_total
 	batchItems *telemetry.Counter // wcetd_batch_items_total
-	inFlight   *telemetry.Gauge   // wcetd_in_flight
 
 	cacheHits       *telemetry.Counter    // wcetd_cache_hits_total
 	cacheMisses     *telemetry.Counter    // wcetd_cache_misses_total
@@ -81,8 +80,6 @@ func newServerMetrics() *serverMetrics {
 			"Requests abandoned by deadline or client cancellation."),
 		batchItems: reg.Counter("wcetd_batch_items_total",
 			"Individual cells received inside /v1/batch requests."),
-		inFlight: reg.Gauge("wcetd_in_flight",
-			"Requests currently past admission control."),
 		cacheHits: reg.Counter("wcetd_cache_hits_total",
 			"Result-cache hits."),
 		cacheMisses: reg.Counter("wcetd_cache_misses_total",

@@ -345,7 +345,7 @@ func TestOpsProfilesGated(t *testing.T) {
 // reads must never go backwards and must balance exactly once the dust
 // settles.
 func TestConcurrentLoadCountersMonotone(t *testing.T) {
-	s, ts := newTestServer(t, Config{MaxInFlight: 8, QueueDepth: 64})
+	s, ts := newTestServer(t, Config{QueueDepth: 64})
 
 	const clients = 6
 	const perClient = 20

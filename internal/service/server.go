@@ -27,18 +27,16 @@ import (
 // Config sizes the daemon. The zero value is usable: every field has a
 // default applied by New.
 type Config struct {
-	// Workers is the campaign-engine pool width batch requests fan out
-	// across; <= 0 selects GOMAXPROCS.
+	// Workers is the width of the private campaign engine New builds
+	// when it is given none; <= 0 selects GOMAXPROCS. The engine's width
+	// is how many analysis requests solve at once.
 	Workers int
 	// CacheEntries caps the canonical-request result cache; <= 0 selects
 	// 1024.
 	CacheEntries int
-	// MaxInFlight is the admission-control concurrency limit: how many
-	// requests may be past admission at once; <= 0 selects 64.
-	MaxInFlight int
-	// QueueDepth is how many requests may wait for admission before new
-	// arrivals are rejected as overload; < 0 selects 256, 0 means no
-	// queue (reject as soon as MaxInFlight is reached).
+	// QueueDepth is how many admitted analysis requests may wait for an
+	// engine slot beyond the engine's width; arrivals past that are
+	// rejected as overload. < 0 selects 256, 0 means no queue.
 	QueueDepth int
 	// RequestTimeout bounds each request (queue wait included) via its
 	// context; <= 0 selects 30 seconds.
@@ -109,9 +107,6 @@ func (c Config) withDefaults() Config {
 	if c.CacheEntries <= 0 {
 		c.CacheEntries = 1024
 	}
-	if c.MaxInFlight <= 0 {
-		c.MaxInFlight = 64
-	}
 	if c.QueueDepth < 0 {
 		c.QueueDepth = 256
 	}
@@ -180,10 +175,14 @@ type CacheStats struct {
 
 // Stats is the GET /v1/stats payload.
 type Stats struct {
-	Workers     int `json:"workers"`
+	Workers int `json:"workers"`
+	// MaxInFlight is how many admitted requests solve at once: the
+	// engine's width, as Workers. QueueDepth more may wait for a slot.
 	MaxInFlight int `json:"maxInFlight"`
 	QueueDepth  int `json:"queueDepth"`
 
+	// InFlight counts the admitted analysis requests; Queued is how many
+	// of them exceed the engine's width.
 	InFlight int64 `json:"inFlight"`
 	Queued   int64 `json:"queued"`
 
@@ -235,8 +234,9 @@ type Server struct {
 	calibMu  sync.Mutex
 	calibEng *calib.Engine
 
-	sem    chan struct{}
-	queued atomic.Int64
+	// inFlight counts the admitted analysis requests, running or waiting
+	// for an engine slot; admit bounds it.
+	inFlight atomic.Int64
 
 	flightMu sync.Mutex
 	flights  map[string]*flight
@@ -328,7 +328,6 @@ func New(cfg Config, engine *campaign.Engine) *Server {
 		cache:       newResultCache(cfg.CacheEntries, metrics.cacheHits, metrics.cacheEvictions, metrics.cacheContention),
 		analyzer:    analyzer,
 		store:       store,
-		sem:         make(chan struct{}, cfg.MaxInFlight),
 		flights:     make(map[string]*flight),
 		metrics:     metrics,
 		logger:      cfg.Logger,
@@ -353,9 +352,12 @@ func New(cfg Config, engine *campaign.Engine) *Server {
 		panic(fmt.Sprintf("service: opening job manager: %v", err))
 	}
 	s.jobs = jm
+	metrics.reg.GaugeFunc("wcetd_in_flight",
+		"Analysis requests currently past admission control, solving or waiting for an engine slot.",
+		func() float64 { return float64(s.inFlight.Load()) })
 	metrics.reg.GaugeFunc("wcetd_queue_depth",
-		"Requests currently waiting for admission.",
-		func() float64 { return float64(s.queued.Load()) })
+		"Admitted analysis requests beyond the engine's width: max(0, in flight - workers).",
+		func() float64 { return float64(s.queued()) })
 	metrics.reg.GaugeFunc("wcetd_cache_entries",
 		"Result-cache entries currently resident.",
 		func() float64 { return float64(s.cache.len()) })
@@ -444,10 +446,10 @@ func (s *Server) StatsSnapshot() Stats {
 	m := s.metrics
 	return Stats{
 		Workers:           s.engine.Workers(),
-		MaxInFlight:       s.cfg.MaxInFlight,
+		MaxInFlight:       s.engine.Workers(),
 		QueueDepth:        s.cfg.QueueDepth,
-		InFlight:          m.inFlight.Value(),
-		Queued:            s.queued.Load(),
+		InFlight:          s.inFlight.Load(),
+		Queued:            s.queued(),
 		Accepted:          m.accepted.Value(),
 		RejectedOverload:  m.rejected.Value(),
 		Canceled:          m.canceled.Value(),
@@ -469,45 +471,29 @@ func (s *Server) StatsSnapshot() Stats {
 	}
 }
 
-// admit applies admission control: immediate admission while capacity
-// remains, bounded queueing after that, rejection beyond the queue. The
-// returned release must be called exactly once when the admitted work
-// finishes.
+// admit applies admission control: it counts the request in, up to the
+// engine's width plus QueueDepth, and rejects it beyond that. It does not
+// wait: an admitted request waits for its engine slot in the engine, under
+// its deadline. The returned release must be called exactly once when the
+// admitted work finishes.
 func (s *Server) admit(ctx context.Context) (release func(), err error) {
 	if err := ctx.Err(); err != nil {
 		s.metrics.canceled.Inc()
 		return nil, err
 	}
-	admitted := false
-	select {
-	case s.sem <- struct{}{}:
-		admitted = true
-	default:
-	}
-	if !admitted {
-		if s.queued.Add(1) > int64(s.cfg.QueueDepth) {
-			s.queued.Add(-1)
-			s.metrics.rejected.Inc()
-			return nil, errOverloaded
-		}
-		select {
-		case s.sem <- struct{}{}:
-			s.queued.Add(-1)
-		case <-ctx.Done():
-			s.queued.Add(-1)
-			s.metrics.canceled.Inc()
-			return nil, ctx.Err()
-		}
+	if s.inFlight.Add(1) > int64(s.engine.Workers()+s.cfg.QueueDepth) {
+		s.inFlight.Add(-1)
+		s.metrics.rejected.Inc()
+		return nil, errOverloaded
 	}
 	s.metrics.accepted.Inc()
-	s.metrics.inFlight.Add(1)
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			s.metrics.inFlight.Add(-1)
-			<-s.sem
-		})
-	}, nil
+	return func() { s.inFlight.Add(-1) }, nil
+}
+
+// queued is how many admitted requests exceed the engine's width: at
+// least that many are waiting for a slot.
+func (s *Server) queued() int64 {
+	return max(0, s.inFlight.Load()-int64(s.engine.Workers()))
 }
 
 // lookupOrCompute is the one cache-accounting point per request, which
@@ -515,24 +501,36 @@ func (s *Server) admit(ctx context.Context) (release func(), err error) {
 // (joined an identical in-flight evaluation) or a miss (evaluated).
 // compute is the miss-path evaluation (evaluateEncoded, for every
 // analysis endpoint). ctx carries the request trace (when one is active)
-// into the evaluation's spans, and bounds only a join wait: an
-// evaluation, once started, runs to completion so its result can be
-// cached for the next asker.
+// into the evaluation's spans and bounds both the evaluation and a join
+// wait. Only a finished evaluation is cached: one stopped by its leader's
+// deadline is not, and a joiner whose own deadline is still live takes
+// it over as the new leader (still counted once, as its dedup).
 func (s *Server) lookupOrCompute(ctx context.Context, key string, compute func(context.Context) (*cached, error)) (*cached, error) {
-	if v, ok := s.cache.get(key); ok {
-		return v, nil
-	}
-	s.flightMu.Lock()
-	if f, ok := s.flights[key]; ok {
+	joined := false
+	for {
+		if v, ok := s.cache.get(key); ok {
+			return v, nil
+		}
+		s.flightMu.Lock()
+		f, ok := s.flights[key]
+		if !ok {
+			break // flightMu is held
+		}
 		s.flightMu.Unlock()
-		s.metrics.dedup.Inc()
+		if !joined {
+			joined = true
+			s.metrics.dedup.Inc()
+		}
 		_, jspan := telemetry.StartSpan(ctx, "join")
-		defer jspan.End()
 		select {
 		case <-f.done:
-			return f.val, f.err
 		case <-ctx.Done():
+			jspan.End()
 			return nil, ctx.Err()
+		}
+		jspan.End()
+		if !stopped(f.err) || ctx.Err() != nil {
+			return f.val, f.err
 		}
 	}
 	// Re-check under flightMu: an evaluation stores its result before it
@@ -545,7 +543,9 @@ func (s *Server) lookupOrCompute(ctx context.Context, key string, compute func(c
 	f := &flight{done: make(chan struct{})}
 	s.flights[key] = f
 	s.flightMu.Unlock()
-	s.metrics.cacheMisses.Inc()
+	if !joined {
+		s.metrics.cacheMisses.Inc()
+	}
 
 	ectx, espan := telemetry.StartSpan(ctx, "evaluate")
 	f.val, f.err = compute(ectx)
@@ -558,6 +558,12 @@ func (s *Server) lookupOrCompute(ctx context.Context, key string, compute func(c
 	s.flightMu.Unlock()
 	close(f.done)
 	return f.val, f.err
+}
+
+// stopped reports whether err ends an evaluation its context stopped (a
+// deadline or a client gone), rather than one that ran to its answer.
+func stopped(err error) bool {
+	return errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)
 }
 
 // evaluateEncoded is the miss path of every analysis endpoint: it
@@ -659,8 +665,10 @@ func (s *Server) handleV2Models(w http.ResponseWriter, r *http.Request) {
 }
 
 // serveCached is the shared single-request serving path of /v1/wcet and
-// /v2/analyze: pre-admission cache probe, admission control, evaluation on
-// the engine's bounded pool, deadline handling.
+// /v2/analyze: pre-admission cache probe, admission control, then the
+// evaluation as a one-cell campaign, which the handler's goroutine works
+// itself once the engine grants it a slot. The request's deadline bounds
+// the slot wait and stops the solve.
 func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key string, compute func(context.Context) (*cached, error)) {
 	// Cache hits bypass admission control entirely: they cost a map
 	// lookup, and admission protects solver capacity, not the mux. The
@@ -684,43 +692,23 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key string,
 		admissionError(w, err)
 		return
 	}
+	defer release()
 
-	// The evaluation itself is not preemptible (the ILP solver runs to
-	// completion), so run it aside and give up at the deadline; the
-	// orphaned result still lands in the cache, and the admission slot
-	// is held until the solver actually finishes. The solve runs as a
-	// one-cell campaign so single-request misses and batch cells share
-	// the engine's bounded pool rather than racing past it.
-	type outcome struct {
-		c   *cached
-		err error
-	}
-	ch := make(chan outcome, 1)
-	go func() {
-		defer release()
-		outs := campaign.All(ctx, s.engine, []campaign.Job[*cached]{
-			func(ctx context.Context) (*cached, error) {
-				return s.lookupOrCompute(ctx, key, compute)
-			},
-		})
-		ch <- outcome{outs[0].Value, outs[0].Err}
-	}()
-	select {
-	case out := <-ch:
-		switch {
-		case out.err == nil:
-			writeBody(w, out.c.body)
-		case errors.Is(out.err, context.DeadlineExceeded) || errors.Is(out.err, context.Canceled):
-			// The deadline fired while joining an identical in-flight
-			// evaluation: a server-side timeout, not a bad request.
-			s.metrics.canceled.Inc()
-			httpError(w, http.StatusServiceUnavailable, fmt.Errorf("request timed out: %w", out.err))
-		default:
-			httpError(w, http.StatusUnprocessableEntity, out.err)
-		}
-	case <-ctx.Done():
+	out := campaign.All(ctx, s.engine, []campaign.Job[*cached]{
+		func(ctx context.Context) (*cached, error) {
+			return s.lookupOrCompute(ctx, key, compute)
+		},
+	})[0]
+	switch {
+	case out.Err == nil:
+		writeBody(w, out.Value.body)
+	case stopped(out.Err):
+		// The deadline fired waiting for a slot, joining an identical
+		// evaluation or solving: a server-side timeout, not a bad request.
 		s.metrics.canceled.Inc()
-		httpError(w, http.StatusServiceUnavailable, fmt.Errorf("request timed out: %w", ctx.Err()))
+		httpError(w, http.StatusServiceUnavailable, fmt.Errorf("request timed out: %w", out.Err))
+	default:
+		httpError(w, http.StatusUnprocessableEntity, out.Err)
 	}
 }
 
@@ -750,35 +738,30 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		admissionError(w, err)
 		return
 	}
+	defer release()
 
 	// Fan the batch out across the campaign engine: each request is one
-	// independent cell, results come back in input order, and the
+	// independent cell, the handler's goroutine works cells beside the
+	// engine's helpers, results come back in input order, and the
 	// engine-level slot semaphore bounds total parallelism across every
-	// concurrent batch. The serving table is pinned once for the whole
+	// concurrent request. The serving table is pinned once for the whole
 	// batch, so all cells evaluate under one characterisation.
 	table := s.servingID()
-	ch := make(chan []campaign.Outcome[*cached], 1)
-	go func() {
-		defer release()
-		reg := s.analyzer.Registry()
-		ch <- campaign.Batch(ctx, s.engine, batch.Requests, func(ctx context.Context, req Request) (*cached, error) {
-			view := req.asV2()
-			sdkReq, err := view.prepare(reg, apiV1)
-			if err != nil {
-				return nil, err
-			}
-			sdkReq.TableRef = string(table)
-			return s.lookupOrCompute(ctx, tableKey(requestKey(reg, apiV1, view), table), func(ctx context.Context) (*cached, error) {
-				return s.evaluateEncoded(ctx, sdkReq, apiV1)
-			})
+	reg := s.analyzer.Registry()
+	outcomes := campaign.Batch(ctx, s.engine, batch.Requests, func(ctx context.Context, req Request) (*cached, error) {
+		view := req.asV2()
+		sdkReq, err := view.prepare(reg, apiV1)
+		if err != nil {
+			return nil, err
+		}
+		sdkReq.TableRef = string(table)
+		return s.lookupOrCompute(ctx, tableKey(requestKey(reg, apiV1, view), table), func(ctx context.Context) (*cached, error) {
+			return s.evaluateEncoded(ctx, sdkReq, apiV1)
 		})
-	}()
-	var outcomes []campaign.Outcome[*cached]
-	select {
-	case outcomes = <-ch:
-	case <-ctx.Done():
+	})
+	if err := ctx.Err(); err != nil {
 		s.metrics.canceled.Inc()
-		httpError(w, http.StatusServiceUnavailable, fmt.Errorf("batch timed out: %w", ctx.Err()))
+		httpError(w, http.StatusServiceUnavailable, fmt.Errorf("batch timed out: %w", err))
 		return
 	}
 

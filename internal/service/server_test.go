@@ -13,17 +13,24 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/campaign"
 )
 
 // newTestServer serves cfg on an httptest server. Without a Logger of its
 // own the server logs to io.Discard, so the slow-request span dumps of
 // the tail-sampling tests don't bury a failure's output.
 func newTestServer(t testing.TB, cfg Config) (*Server, *httptest.Server) {
+	return newTestServerOn(t, cfg, nil)
+}
+
+// newTestServerOn is newTestServer on a given campaign engine.
+func newTestServerOn(t testing.TB, cfg Config, eng *campaign.Engine) (*Server, *httptest.Server) {
 	t.Helper()
 	if cfg.Logger == nil {
 		cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
-	s := New(cfg, nil)
+	s := New(cfg, eng)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return s, ts
@@ -196,7 +203,7 @@ func TestCacheHitAccounting(t *testing.T) {
 func TestConcurrentBatchHammer(t *testing.T) {
 	const clients = 64
 	const variants = 4
-	s, ts := newTestServer(t, Config{MaxInFlight: clients, QueueDepth: clients})
+	s, ts := newTestServer(t, Config{QueueDepth: clients})
 
 	// Each variant is a batch mixing unique and duplicate requests.
 	bodies := make([][]byte, variants)
@@ -261,37 +268,60 @@ func TestConcurrentBatchHammer(t *testing.T) {
 	}
 }
 
+// postAsync posts body to url on a goroutine and delivers the status.
+func postAsync(url string, body []byte) <-chan int {
+	status := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+		if err != nil {
+			status <- 0
+			return
+		}
+		resp.Body.Close()
+		status <- resp.StatusCode
+	}()
+	return status
+}
+
+// TestAdmissionOverload saturates a one-worker engine with no queue: a
+// blocking job holds the engine's slot, one miss is admitted and waits
+// for it, and the next miss is rejected with 429. Cache hits bypass the
+// saturated server.
 func TestAdmissionOverload(t *testing.T) {
-	s, ts := newTestServer(t, Config{MaxInFlight: 1, QueueDepth: 0})
-
-	// Occupy the only slot.
-	release, err := s.admit(context.Background())
-	if err != nil {
-		t.Fatal(err)
+	eng := campaign.New(1)
+	s, ts := newTestServerOn(t, Config{QueueDepth: 0}, eng)
+	saturate := func(variant int) (free func() int) {
+		t.Helper()
+		release := hogEngine(t, eng)
+		waiting := postAsync(ts.URL+"/v1/wcet", encodeRequest(t, sampleRequest(variant)))
+		if !waitFor(t, 5*time.Second, func() bool { return s.StatsSnapshot().InFlight == 1 }) {
+			t.Fatal("the waiting miss was never admitted")
+		}
+		return func() int { release(); return <-waiting }
 	}
-	defer release()
 
-	status, body := post(t, ts.URL+"/v1/wcet", encodeRequest(t, sampleRequest(0)))
+	free := saturate(0)
+	status, body := post(t, ts.URL+"/v1/wcet", encodeRequest(t, sampleRequest(1)))
 	if status != http.StatusTooManyRequests {
 		t.Fatalf("status %d, want 429: %s", status, body)
 	}
-	if st := s.StatsSnapshot(); st.RejectedOverload != 1 {
-		t.Errorf("rejectedOverload = %d, want 1", st.RejectedOverload)
+	if st := s.StatsSnapshot(); st.RejectedOverload != 1 || st.MaxInFlight != 1 {
+		t.Errorf("rejectedOverload = %d, maxInFlight = %d; want 1, 1", st.RejectedOverload, st.MaxInFlight)
+	}
+	// Freeing the slot lets the admitted miss solve, which warms the
+	// cache for variant 0.
+	if status := free(); status != http.StatusOK {
+		t.Fatalf("the admitted miss got %d once the slot was free, want 200", status)
 	}
 
-	// Cache hits must bypass admission even while saturated: warm the
-	// cache with the slot free, re-saturate, and repeat the request.
-	release()
-	if status, _ := post(t, ts.URL+"/v1/wcet", encodeRequest(t, sampleRequest(0))); status != http.StatusOK {
-		t.Fatalf("warming request failed: %d", status)
-	}
-	release, err = s.admit(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer release()
+	// Cache hits must bypass admission even while saturated.
+	free = saturate(2)
+	defer free()
 	if status, _ := post(t, ts.URL+"/v1/wcet", encodeRequest(t, sampleRequest(0))); status != http.StatusOK {
 		t.Errorf("cache hit rejected while saturated: %d", status)
+	}
+	if status, _ := post(t, ts.URL+"/v1/wcet", encodeRequest(t, sampleRequest(3))); status != http.StatusTooManyRequests {
+		t.Errorf("miss on the saturated server: status %d, want 429", status)
 	}
 }
 
@@ -327,14 +357,12 @@ func TestBodyAndBatchLimits(t *testing.T) {
 	}
 }
 
+// TestQueuedRequestTimesOut: an admitted miss that waits past its
+// deadline for the engine's only slot, held by a blocking job, gets 503.
 func TestQueuedRequestTimesOut(t *testing.T) {
-	s, ts := newTestServer(t, Config{MaxInFlight: 1, QueueDepth: 4, RequestTimeout: 20 * time.Millisecond})
-
-	release, err := s.admit(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer release()
+	eng := campaign.New(1)
+	s, ts := newTestServerOn(t, Config{QueueDepth: 4, RequestTimeout: 20 * time.Millisecond}, eng)
+	defer hogEngine(t, eng)()
 
 	start := time.Now()
 	status, body := post(t, ts.URL+"/v1/wcet", encodeRequest(t, sampleRequest(0)))
@@ -344,8 +372,8 @@ func TestQueuedRequestTimesOut(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Errorf("timeout took %v", elapsed)
 	}
-	if st := s.StatsSnapshot(); st.Canceled == 0 {
-		t.Error("canceled counter not incremented")
+	if st := s.StatsSnapshot(); st.Canceled == 0 || st.InFlight != 0 {
+		t.Errorf("canceled = %d, inFlight = %d; want > 0 and 0", st.Canceled, st.InFlight)
 	}
 }
 

@@ -15,9 +15,9 @@ import (
 // the /v2 service API and in experiment grids. Estimate computes the
 // bound. Implementations must be safe for concurrent use: the Analyzer
 // evaluates one request's models one after another, but the service and
-// the experiment sweeps invoke them from many requests at once. Estimate should honour ctx cancellation where it can;
-// built-in models check it on entry and then run to completion (an ILP
-// solve is not preemptible).
+// the experiment sweeps invoke them from many requests at once. Estimate
+// should honour ctx cancellation: built-in models check it on entry, and
+// the ILP models stop their search on it (an error, never a bound).
 type ContentionModel interface {
 	Name() string
 	Estimate(ctx context.Context, in Input) (Estimate, error)
@@ -54,8 +54,8 @@ func ftcModel() ContentionModel {
 }
 
 func ilpPtacModel() ContentionModel {
-	return NewModel("ilpPtac", func(_ context.Context, in Input) (Estimate, error) {
-		return core.ILPPTAC(in.coreInput(), in.ptacOptions())
+	return NewModel("ilpPtac", func(ctx context.Context, in Input) (Estimate, error) {
+		return core.ILPPTAC(in.coreInput(), in.ptacOptions(ctx))
 	})
 }
 
@@ -66,11 +66,11 @@ func ftcFsbModel() ContentionModel {
 }
 
 func templatePtacModel() ContentionModel {
-	return NewModel("templatePtac", func(_ context.Context, in Input) (Estimate, error) {
+	return NewModel("templatePtac", func(ctx context.Context, in Input) (Estimate, error) {
 		if len(in.Templates) == 0 {
 			return Estimate{}, fmt.Errorf("wcet: model templatePtac needs at least one contender template in Input.Templates")
 		}
-		return core.ILPPTACTemplate(in.coreInput(), in.Templates, in.ptacOptions())
+		return core.ILPPTACTemplate(in.coreInput(), in.Templates, in.ptacOptions(ctx))
 	})
 }
 

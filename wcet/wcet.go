@@ -1,6 +1,7 @@
 package wcet
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -168,10 +169,11 @@ func (in Input) coreInput() core.Input {
 	return core.Input{A: in.Analysed, B: in.Contenders, Lat: in.Latencies, Scenario: in.Scenario}
 }
 
-// ptacOptions maps the SDK knobs onto the ILP model options.
-func (in Input) ptacOptions() core.PTACOptions {
+// ptacOptions maps the SDK knobs and ctx onto the ILP model options.
+func (in Input) ptacOptions(ctx context.Context) core.PTACOptions {
 	return core.PTACOptions{
 		StallMode:         in.StallMode,
 		DropContenderInfo: in.DropContenderInfo,
+		Ctx:               ctx,
 	}
 }
