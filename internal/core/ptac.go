@@ -139,34 +139,44 @@ func ILPPTAC(in Input, opts PTACOptions) (Estimate, error) {
 		b.xsAll = append(b.xsAll, b.xs...)
 	}
 
-	gap := opts.Gap
-	if gap <= 0 {
-		gap = defaultGap(in.Lat)
-	}
-	sol, err := b.p.Solve(ilp.Options{MaxNodes: opts.MaxNodes, Gap: gap, Ctx: opts.Ctx})
-	if err != nil {
-		return Estimate{}, fmt.Errorf("core: ILP-PTAC (%s, %s mode): %w", in.Scenario.Name, opts.StallMode, err)
-	}
-
-	decomp := make(map[string]int64)
-	for pi := range accessPairs {
-		decomp[naNames[pi]] = sol.IntOf(b.na[pi])
-		for bi := range in.B {
-			decomp[nbVarName(bi, pi)] = sol.IntOf(b.nbAll[bi*len(accessPairs)+pi])
-			decomp[xVarName(bi, pi)] = sol.IntOf(b.xsAll[bi*len(accessPairs)+pi])
-		}
-	}
-
 	model := "ILP-PTAC"
 	if opts.DropContenderInfo {
 		model = "ILP-PTAC-fTC"
+	}
+	est, err := b.solve(model)
+	if err != nil {
+		return Estimate{}, fmt.Errorf("core: ILP-PTAC (%s, %s mode): %w", in.Scenario.Name, opts.StallMode, err)
+	}
+	return est, nil
+}
+
+// solve solves the built model under the builder's options and returns
+// the estimate named model: the solver's bound, and the decomposition of
+// the analysed task and of each contender in nbAll and xsAll. The caller
+// wraps a solver error with its model's context.
+func (b *ptacBuilder) solve(model string) (Estimate, error) {
+	gap := b.opts.Gap
+	if gap <= 0 {
+		gap = defaultGap(b.in.Lat)
+	}
+	sol, err := b.p.Solve(ilp.Options{MaxNodes: b.opts.MaxNodes, Gap: gap, Ctx: b.opts.Ctx})
+	if err != nil {
+		return Estimate{}, err
+	}
+	decomp := make(map[string]int64)
+	for pi := range accessPairs {
+		decomp[naNames[pi]] = sol.IntOf(b.na[pi])
+		for bi := 0; bi < len(b.nbAll)/len(accessPairs); bi++ {
+			decomp[nbVarName(bi, pi)] = sol.IntOf(b.nbAll[bi*len(accessPairs)+pi])
+			decomp[xVarName(bi, pi)] = sol.IntOf(b.xsAll[bi*len(accessPairs)+pi])
+		}
 	}
 	// The contention bound must over-approximate the worst case, so it is
 	// the solver's *proved upper bound* on the ILP optimum, not the
 	// incumbent (they coincide when the search completed exactly).
 	return Estimate{
 		Model:            model,
-		IsolationCycles:  in.A.CCNT,
+		IsolationCycles:  b.in.A.CCNT,
 		ContentionCycles: int64(sol.UpperBound + 0.5),
 		Decomposition:    decomp,
 		Nodes:            sol.Nodes,

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/dsu"
-	"repro/internal/ilp"
 	"repro/internal/platform"
 )
 
@@ -110,29 +109,9 @@ func ILPPTACTemplate(a Input, templates []Template, opts PTACOptions) (Estimate,
 		b.xsAll = append(b.xsAll, b.xs...)
 	}
 
-	gap := opts.Gap
-	if gap <= 0 {
-		gap = defaultGap(a.Lat)
-	}
-	sol, err := b.p.Solve(ilp.Options{MaxNodes: opts.MaxNodes, Gap: gap, Ctx: opts.Ctx})
+	est, err := b.solve("ILP-PTAC-template")
 	if err != nil {
 		return Estimate{}, fmt.Errorf("core: ILP-PTAC-template (%s): %w", a.Scenario.Name, err)
 	}
-
-	decomp := make(map[string]int64)
-	for pi := range accessPairs {
-		decomp[naNames[pi]] = sol.IntOf(b.na[pi])
-		for bi := range templates {
-			decomp[nbVarName(bi, pi)] = sol.IntOf(b.nbAll[bi*len(accessPairs)+pi])
-			decomp[xVarName(bi, pi)] = sol.IntOf(b.xsAll[bi*len(accessPairs)+pi])
-		}
-	}
-	return Estimate{
-		Model:            "ILP-PTAC-template",
-		IsolationCycles:  a.A.CCNT,
-		ContentionCycles: int64(sol.UpperBound + 0.5),
-		Decomposition:    decomp,
-		Nodes:            sol.Nodes,
-		WarmStarts:       sol.WarmStarts,
-	}, nil
+	return est, nil
 }

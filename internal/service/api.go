@@ -160,9 +160,9 @@ func decodeStrict(r io.Reader, v any) error {
 }
 
 // DecodeRequest reads one JSON request, rejecting unknown fields — the
-// CLI's historical strictness, now shared with the daemon. Like
-// json.Decoder it stops reading once the request is complete, so it
-// returns on a stream that stays open after one request.
+// CLI's historical strictness, now shared with the daemon. It reads r to
+// its end (io.EOF or a read error) before it decodes, as a request body
+// ends; a stream that stays open after one request is decodeStrict's.
 func DecodeRequest(r io.Reader) (Request, error) {
 	return decodeDirect(r, parseV1)
 }
@@ -330,12 +330,14 @@ func toEstimateOut(e wcet.Estimate) EstimateOut {
 }
 
 // RunCLI is cmd/wcet's whole behaviour: decode one request from in,
-// evaluate it, write the response to out. The daemon serves the same
-// three calls per request, which is what keeps the two front-ends
-// byte-identical.
+// evaluate it, write the response to out. It decodes with decodeStrict,
+// which stops reading at the end of the request, so it returns on a
+// stdin that stays open. The daemon's DecodeRequest gives decodeStrict's
+// value, and it evaluates and encodes the same way, which is what keeps
+// the two front-ends byte-identical.
 func RunCLI(in io.Reader, out io.Writer) error {
-	req, err := DecodeRequest(in)
-	if err != nil {
+	var req Request
+	if err := decodeStrict(in, &req); err != nil {
 		return err
 	}
 	resp, err := Evaluate(req)

@@ -199,8 +199,14 @@ func TestCanonicalKey(t *testing.T) {
 	}
 }
 
+// testCache is a result cache reporting into a fresh server's counters.
+func testCache(capacity int) *resultCache {
+	m := newServerMetrics()
+	return newResultCache(capacity, m.cacheHits, m.cacheEvictions, m.cacheContention)
+}
+
 func TestLRUEviction(t *testing.T) {
-	c := newResultCache(2, nil, nil, nil)
+	c := testCache(2)
 	mk := func(s string) *cached { return &cached{body: []byte(s)} }
 	c.put("a", mk("a"))
 	c.put("b", mk("b"))
@@ -232,7 +238,7 @@ func TestLRUEviction(t *testing.T) {
 // and the eviction counter never moves.
 func TestCacheZeroCapacity(t *testing.T) {
 	for _, capacity := range []int{0, -5} {
-		c := newResultCache(capacity, nil, nil, nil)
+		c := testCache(capacity)
 		c.put("a", &cached{body: []byte("a")})
 		if _, ok := c.get("a"); ok {
 			t.Errorf("cap=%d: disabled cache returned a hit", capacity)
@@ -255,7 +261,7 @@ func TestCacheZeroCapacity(t *testing.T) {
 // earn the entry its second chance. (Probes count no misses by
 // construction: the cache has no miss counter; the server counts them.)
 func TestCacheProbeNoRecencyChurn(t *testing.T) {
-	c := newResultCache(2, nil, nil, nil)
+	c := testCache(2)
 	mk := func(s string) *cached { return &cached{body: []byte(s)} }
 	c.put("a", mk("a"))
 	c.put("b", mk("b"))
@@ -288,7 +294,7 @@ func TestCacheProbeNoRecencyChurn(t *testing.T) {
 // evictions and len globally, and keys must spread across more than one
 // shard.
 func TestCacheSharding(t *testing.T) {
-	c := newResultCache(1024, nil, nil, nil)
+	c := testCache(1024)
 	if len(c.shards) != maxCacheShards {
 		t.Fatalf("shards = %d, want %d", len(c.shards), maxCacheShards)
 	}

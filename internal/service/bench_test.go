@@ -225,9 +225,10 @@ var sinkErr error
 // first step of every /v1/wcet and /v2/analyze request. The fallback
 // bodies leave the direct parser's subset only at their end, where the
 // parser stops: the last task name is non-ASCII, or the last member name
-// is case-folded. decodeStrict decides them after the direct attempt. The batch cases read a four-request
-// /v1/batch body 64 bytes a Read. The strict/ cases are decodeStrict
-// alone on the same bodies, the decode before the direct path.
+// is case-folded. decodeStrict decides them after the direct attempt.
+// The batch cases read a four-request /v1/batch body 64 bytes a Read.
+// The strict/ cases are decodeStrict alone on the same bodies, the
+// decode before the direct path.
 func BenchmarkDecodeRequest(b *testing.B) {
 	v1, err := json.Marshal(hotRequest())
 	if err != nil {

@@ -70,8 +70,7 @@ type clockEntry struct {
 	ref bool
 }
 
-// newResultCache builds a cache reporting into the given counters; nil
-// counters (standalone/test use) are replaced with private ones. The
+// newResultCache builds a cache reporting into the given counters. The
 // cache counts no misses: whether an absent key becomes a miss is the
 // server's call (admission may reject the request), so the server counts
 // them. A capacity <= 0 disables the cache entirely: every put is a no-op
@@ -79,16 +78,6 @@ type clockEntry struct {
 // inserting and then immediately self-evicting (with a bogus eviction
 // count) on each put.
 func newResultCache(capacity int, hits, evictions *telemetry.Counter, contention *telemetry.CounterVec) *resultCache {
-	if hits == nil {
-		hits = &telemetry.Counter{}
-	}
-	if evictions == nil {
-		evictions = &telemetry.Counter{}
-	}
-	if contention == nil {
-		contention = telemetry.NewRegistry().CounterVec(
-			"wcetd_cache_shard_contention_total", "private", "shard")
-	}
 	if capacity < 0 {
 		capacity = 0
 	}

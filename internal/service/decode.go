@@ -2,6 +2,7 @@ package service
 
 import (
 	"io"
+	"slices"
 	"sync"
 
 	"repro/internal/dsu"
@@ -11,317 +12,81 @@ import (
 // are the service's hot wire input: every /v1/wcet and /v2/analyze
 // request, cache hits included, decodes one before anything else runs.
 // decodeStrict (encoding/json with unknown fields rejected) stays their
-// definition; decodeDirect serves the inputs inside its parser's subset
-// without reflection and hands everything else to it. json.Marshal of a
-// request stays inside the subset when its strings are printable ASCII
-// that json.Marshal does not escape, its lists and maps are not nil and
-// its integers have at most 18 digits.
-
-// readMin is json.Decoder's minimum read: it grows its buffer to twice
-// its capacity plus readMin whenever less than readMin is free.
-const readMin = 512
+// definition; decodeDirect reads a body whole, serves the values inside
+// its parser's subset without reflection and hands everything else to
+// decodeStrict. json.Marshal of a request stays inside the subset when
+// its strings are printable ASCII that json.Marshal does not escape, its
+// lists and maps are not nil and its integers have at most 18 digits.
 
 // maxPooledReadBuf keeps a giant batch body from pinning its buffer in
 // the pool.
 const maxPooledReadBuf = 64 << 10
 
-// maxDirectReads bounds the Read calls a direct decode keeps a record
-// of. A value still incomplete after that many is trickling in (a body
-// a few bytes per Read) or is very large; decodeStrict takes it over,
-// as it would take it alone, and the record stays small.
-const maxDirectReads = 64
-
-// readBuf is a direct decode's input: the bytes read so far and the n of
-// every Read call that read them. It also holds the parser, whose
-// address parse takes: a local would move to the heap on every decode.
+// readBuf is a direct decode's input, the body read so far. It also
+// holds the parser, whose address parse takes: a local would move to the
+// heap on every decode.
 type readBuf struct {
 	data []byte
-	ns   []int
 	p    parser
 }
 
 var readBufPool = sync.Pool{New: func() any {
-	return &readBuf{data: make([]byte, 0, 4*readMin), ns: make([]int, 0, 4)}
+	return &readBuf{data: make([]byte, 0, 2048)}
 }}
 
 // decodeDirect decodes one JSON value from r as decodeStrict would into
-// a T. It reads r as json.Decoder does — Read calls of the same sizes,
-// until a whole value is buffered — and parses what the first read
-// holds. A value that runs past the first read is checked each byte
-// once, as it is read, by a scanner that finds its end, and parsed once
-// it is complete. Like json.Decoder, it ignores what follows the
-// value. Anything it does not take (a byte outside the parser's subset,
-// a value parse rejects, EOF or a read error before the value ends,
-// more than maxDirectReads reads) goes to decodeStrict over a replay of
-// the very Read results consumed, then the rest of r: the decoder sees
-// the input it would have seen alone, so its value or its error is the
-// answer, and r is read no further than it would read it.
+// a T. It reads r to its end — io.EOF or the first read error — and
+// parses the bytes once. A value the parser does not take (a byte
+// outside its subset, a value cut short) goes to decodeStrict over the
+// same bytes followed by the same read error, so its value or its error
+// is the answer. The parse is tried after a read error too: json.Decoder
+// scans the bytes a Read returned before it looks at the error, so a
+// value that ends before an http.MaxBytesReader's limit still decodes.
+// Like json.Decoder, it ignores what follows the value. Unlike it, it
+// does not return before r ends: a stream that stays open needs
+// decodeStrict.
 func decodeDirect[T any](r io.Reader, parse func(*parser) (T, bool)) (T, error) {
 	in := readBufPool.Get().(*readBuf)
 	defer func() {
 		if cap(in.data) <= maxPooledReadBuf {
-			in.data, in.ns = in.data[:0], in.ns[:0]
+			in.data = in.data[:0]
 			readBufPool.Put(in)
 		}
 	}()
-	var (
-		sc      scanner
-		readErr error
-		size    int // json.Decoder's buffer capacity
-	)
-	for len(in.ns) < maxDirectReads {
-		if size-len(in.data) < readMin {
-			size = 2*size + readMin
-			if size > cap(in.data) {
-				grown := make([]byte, len(in.data), size)
-				copy(grown, in.data)
-				in.data = grown
-			}
+	var readErr error
+	for readErr == nil {
+		if len(in.data) == cap(in.data) {
+			in.data = slices.Grow(in.data, len(in.data))
 		}
 		var n int
-		n, readErr = r.Read(in.data[len(in.data):size])
-		in.ns = append(in.ns, n)
-		from := len(in.data)
-		in.data = in.data[:from+n]
-		p := &in.p
-		if len(in.ns) == 1 {
-			// The first read usually holds the whole request: parse it
-			// at once, and scan only a value it does not hold.
-			*p = parser{b: in.data}
-			if v, ok := parse(p); ok {
-				return v, nil
-			}
-			if p.i < len(p.b) {
-				break // stopped before the end: not a value it takes
-			}
-		}
-		end, done, ok := sc.feed(in.data[from:])
-		if done && len(in.ns) > 1 {
-			*p = parser{b: in.data[:from+end]}
-			if v, ok := parse(p); ok {
-				return v, nil
-			}
-		}
-		if done || !ok || readErr != nil {
-			break
-		}
+		n, readErr = r.Read(in.data[len(in.data):cap(in.data)])
+		in.data = in.data[:len(in.data)+n]
+	}
+	in.p = parser{b: in.data}
+	if v, ok := parse(&in.p); ok {
+		return v, nil
 	}
 	var v T
-	if err := decodeStrict(&replay{data: in.data, ns: in.ns, err: readErr, r: r}, &v); err != nil {
+	if err := decodeStrict(&bodyThen{in.data, readErr}, &v); err != nil {
 		return *new(T), err
 	}
 	return v, nil
 }
 
-// scanState is where a scanner stands in the value.
-type scanState uint8
-
-const (
-	scanTop          scanState = iota // before the opening brace
-	scanValue                         // at a value
-	scanValueOrClose                  // after '[': a value or ']'
-	scanNameOrClose                   // after '{': a name or '}'
-	scanName                          // after ',' in an object: a name
-	scanColon                         // after a name
-	scanAfter                         // after a value: ',' or a closing bracket
-	scanNameString                    // inside a name
-	scanString                        // inside a string value
-	scanMinus                         // after a leading '-'
-	scanZero                          // after a leading '0'
-	scanDigits                        // inside an integer
-	scanLiteral                       // inside true or false
-)
-
-// scanner checks a JSON object, a byte at a time and across reads, for
-// the syntax of the parser's subset: strings of printable ASCII without
-// escapes, integers, true and false, nested at most 64 deep. It holds
-// just its state and the open brackets, so however the input is cut
-// into reads every byte is looked at once, and it stops where
-// json.Decoder stops: at the object's closing brace, or at the first
-// byte that is a syntax error — or merely outside the subset, which
-// decodeStrict then decides.
-type scanner struct {
-	state  scanState
-	depth  int
-	arrays uint64 // bit d is set when nesting level d is an array
-	lit    string // the rest of the literal being read
+// bodyThen reads the bytes of a body, then fails with the error its
+// last Read returned.
+type bodyThen struct {
+	b   []byte
+	err error
 }
 
-// feed scans b, the bytes that follow those fed before. done reports
-// that the object ends at b[end-1]; ok false, that a byte of b is
-// outside the subset.
-func (s *scanner) feed(b []byte) (end int, done, ok bool) {
-	for i := 0; i < len(b); i++ {
-		c := b[i]
-		switch s.state {
-		case scanString, scanNameString:
-			for ; c != '"'; c = b[i] {
-				if c < 0x20 || c == '\\' || c >= 0x80 {
-					return 0, false, false
-				}
-				if i++; i == len(b) {
-					return 0, false, true
-				}
-			}
-			if s.state == scanNameString {
-				s.state = scanColon
-			} else {
-				s.state = scanAfter
-			}
-			continue
-		case scanMinus:
-			switch {
-			case c == '0':
-				s.state = scanZero
-			case '1' <= c && c <= '9':
-				s.state = scanDigits
-			default:
-				return 0, false, false
-			}
-			continue
-		case scanZero, scanDigits:
-			if '0' <= c && c <= '9' {
-				if s.state == scanZero {
-					return 0, false, false
-				}
-				continue
-			}
-			s.state = scanAfter
-		case scanLiteral:
-			if c != s.lit[0] {
-				return 0, false, false
-			}
-			if s.lit = s.lit[1:]; s.lit == "" {
-				s.state = scanAfter
-			}
-			continue
-		}
-		if c == ' ' || c == '\t' || c == '\n' || c == '\r' {
-			continue
-		}
-		switch s.state {
-		case scanTop:
-			if c != '{' || !s.push(false) {
-				return 0, false, false
-			}
-		case scanNameOrClose, scanName:
-			switch {
-			case c == '"':
-				s.state = scanNameString
-			case c == '}' && s.state == scanNameOrClose:
-				if s.pop() {
-					return i + 1, true, true
-				}
-			default:
-				return 0, false, false
-			}
-		case scanColon:
-			if c != ':' {
-				return 0, false, false
-			}
-			s.state = scanValue
-		case scanValueOrClose:
-			if c == ']' {
-				if s.pop() {
-					return i + 1, true, true
-				}
-			} else if !s.value(c) {
-				return 0, false, false
-			}
-		case scanValue:
-			if !s.value(c) {
-				return 0, false, false
-			}
-		case scanAfter:
-			array := s.arrays>>(s.depth-1)&1 == 1
-			switch {
-			case c == ',' && array:
-				s.state = scanValue
-			case c == ',':
-				s.state = scanName
-			case c == ']' && array, c == '}' && !array:
-				if s.pop() {
-					return i + 1, true, true
-				}
-			default:
-				return 0, false, false
-			}
-		}
+func (t *bodyThen) Read(b []byte) (int, error) {
+	if len(t.b) == 0 {
+		return 0, t.err
 	}
-	return 0, false, true
-}
-
-// value starts the value whose first byte is c.
-func (s *scanner) value(c byte) bool {
-	switch {
-	case c == '{':
-		return s.push(false)
-	case c == '[':
-		return s.push(true)
-	case c == '"':
-		s.state = scanString
-	case c == '-':
-		s.state = scanMinus
-	case c == '0':
-		s.state = scanZero
-	case '1' <= c && c <= '9':
-		s.state = scanDigits
-	case c == 't':
-		s.state, s.lit = scanLiteral, "rue"
-	case c == 'f':
-		s.state, s.lit = scanLiteral, "alse"
-	default:
-		return false
-	}
-	return true
-}
-
-// push opens a nesting level.
-func (s *scanner) push(array bool) bool {
-	if s.depth == 64 {
-		return false
-	}
-	s.arrays &^= 1 << s.depth
-	if array {
-		s.arrays |= 1 << s.depth
-		s.state = scanValueOrClose
-	} else {
-		s.state = scanNameOrClose
-	}
-	s.depth++
-	return true
-}
-
-// pop closes a nesting level and reports whether it was the outermost.
-func (s *scanner) pop() bool {
-	s.depth--
-	s.state = scanAfter
-	return s.depth == 0
-}
-
-// replay serves the Read results a direct decode consumed — the same
-// bytes cut at the same n, the last with its error — and then reads on
-// from r.
-type replay struct {
-	data []byte
-	ns   []int
-	err  error
-	r    io.Reader
-}
-
-func (p *replay) Read(b []byte) (int, error) {
-	if len(p.ns) == 0 {
-		return p.r.Read(b)
-	}
-	n := copy(b, p.data[:p.ns[0]])
-	p.data, p.ns[0] = p.data[n:], p.ns[0]-n
-	if p.ns[0] > 0 {
-		return n, nil
-	}
-	if p.ns = p.ns[1:]; len(p.ns) > 0 {
-		return n, nil
-	}
-	return n, p.err
+	n := copy(b, t.b)
+	t.b = t.b[n:]
+	return n, nil
 }
 
 // parser reads the analysis request shapes from a buffered JSON value.
@@ -330,8 +95,8 @@ func (p *replay) Read(b []byte) (int, error) {
 // integers of at most maxDigits digits; true and false. It rejects
 // anything else — null, other numbers, escapes, non-ASCII, case-folded,
 // unknown or repeated names, a value cut short — for decodeStrict to
-// decide. What it takes is valid JSON up to its end, so json.Decoder
-// would stop reading there too.
+// decide. What it takes is valid JSON up to its end, where json.Decoder
+// stops too.
 type parser struct {
 	b []byte
 	i int

@@ -7,7 +7,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -31,10 +30,14 @@ func (s *openStream) Read(b []byte) (int, error) {
 	return n, nil
 }
 
-// TestDecodeReturnsOnOpenStream checks that decoding stops at the end of
-// the request instead of reading on: a request on a stream that stays
-// open must decode, whether it fits one read or spans several and
-// whether the direct parser or decodeStrict decides it.
+// decoderFirstRead is the size of json.Decoder's first Read.
+const decoderFirstRead = 512
+
+// TestDecodeReturnsOnOpenStream checks that cmd/wcet stops reading at
+// the end of the request: RunCLI and RunCLIV2 (with -models ilpPtac) on
+// a stream that stays open must return decodeStrict's response or its
+// error, whether the request fits one read or spans several, and whether
+// it is escaped or carries an unknown field.
 func TestDecodeReturnsOnOpenStream(t *testing.T) {
 	long := hotRequest()
 	long.RTA.Others = append(long.RTA.Others, long.RTA.Others[0], long.RTA.Others[0], long.RTA.Others[0], long.RTA.Others[0])
@@ -42,9 +45,10 @@ func TestDecodeReturnsOnOpenStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(longBody) <= readMin {
-		t.Fatalf("long body is %d bytes, want more than one %d-byte read", len(longBody), readMin)
+	if len(longBody) <= decoderFirstRead {
+		t.Fatalf("long body is %d bytes, want more than one %d-byte read", len(longBody), decoderFirstRead)
 	}
+	models := []string{"ilpPtac"}
 	for name, body := range map[string]string{
 		"golden":       goldenRequests[0].body,
 		"long":         string(longBody),
@@ -52,37 +56,64 @@ func TestDecodeReturnsOnOpenStream(t *testing.T) {
 		"unknownField": `{"scenario": 1, "bogus": 2}`,
 	} {
 		t.Run(name, func(t *testing.T) {
-			want, wantErr := decodeStrictRequest(body)
-			s := &openStream{body: []byte(body), done: make(chan struct{})}
-			defer close(s.done)
-			type result struct {
-				req Request
-				err error
-			}
-			ch := make(chan result, 1)
-			go func() {
-				req, err := DecodeRequest(s)
-				ch <- result{req, err}
-			}()
-			select {
-			case got := <-ch:
-				if (got.err == nil) != (wantErr == nil) {
-					t.Fatalf("DecodeRequest error %v, decodeStrict's %v", got.err, wantErr)
-				}
-				if got.err == nil && !reflect.DeepEqual(got.req, want) {
-					t.Fatalf("DecodeRequest decoded %+v, want %+v", got.req, want)
-				}
-			case <-time.After(10 * time.Second):
-				t.Fatal("DecodeRequest still reading after the request ended")
-			}
+			checkOpenStream(t, "RunCLI", body, RunCLI, strictCLI(body, func(req Request) (any, error) {
+				return Evaluate(req)
+			}))
+			checkOpenStream(t, "RunCLIV2", body, func(r io.Reader, w io.Writer) error {
+				return RunCLIV2(r, w, models)
+			}, strictCLI(body, func(req V2Request) (any, error) {
+				req.Models = models
+				return EvaluateV2(defaultAnalyzer, req)
+			}))
 		})
 	}
 }
 
-func decodeStrictRequest(body string) (Request, error) {
-	var req Request
-	err := decodeStrict(strings.NewReader(body), &req)
-	return req, err
+// cliOutput is what one CLI run printed, or its error.
+type cliOutput struct {
+	out []byte
+	err error
+}
+
+// strictCLI is what a CLI run on body must give: decodeStrict's value,
+// evaluated and encoded, or decodeStrict's error.
+func strictCLI[T any](body string, evaluate func(T) (any, error)) cliOutput {
+	var req T
+	if err := decodeStrict(strings.NewReader(body), &req); err != nil {
+		return cliOutput{err: err}
+	}
+	resp, err := evaluate(req)
+	if err != nil {
+		return cliOutput{err: err}
+	}
+	var out bytes.Buffer
+	err = EncodeJSON(&out, resp)
+	return cliOutput{out.Bytes(), err}
+}
+
+// checkOpenStream runs cli over body on a stream that stays open and
+// fails t unless it returns want.
+func checkOpenStream(t *testing.T, what, body string, cli func(io.Reader, io.Writer) error, want cliOutput) {
+	t.Helper()
+	s := &openStream{body: []byte(body), done: make(chan struct{})}
+	defer close(s.done)
+	ch := make(chan cliOutput, 1)
+	go func() {
+		var out bytes.Buffer
+		err := cli(s, &out)
+		ch <- cliOutput{out.Bytes(), err}
+	}()
+	select {
+	case got := <-ch:
+		if (got.err == nil) != (want.err == nil) || got.err != nil && got.err.Error() != want.err.Error() {
+			t.Fatalf("%s error %v, decodeStrict's %v", what, got.err, want.err)
+		}
+		if !bytes.Equal(got.out, want.out) {
+			t.Fatalf("%s wrote\n%s\nwant\n%s", what, got.out, want.out)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%s still reading after the request ended", what)
+	}
 }
 
 // TestBodyAtLimitKeepsConnection posts requests exactly MaxBodyBytes
@@ -121,10 +152,9 @@ func TestBodyAtLimitKeepsConnection(t *testing.T) {
 }
 
 // TestChunkedDecodeAllocs checks that a body cut into many reads costs
-// the direct decoder what it costs in one read: each byte is scanned
-// once and the value parsed once, however the body arrives. A body
-// trickling in past maxDirectReads goes to decodeStrict and must cost
-// about what decodeStrict alone costs.
+// the direct decoder what it costs in one read, plus at most the read
+// buffer's growth steps: the body is read into one pooled buffer and
+// parsed once, however it arrives.
 func TestChunkedDecodeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops a quarter of Puts, so readBufPool misses at random")
@@ -147,26 +177,18 @@ func TestChunkedDecodeAllocs(t *testing.T) {
 			}
 		})
 	}
-	small := batchBody(4)
-	whole := direct(small, len(small))
-	for _, chunk := range []int{40, 64} {
-		if reads := len(small)/chunk + 1; reads >= maxDirectReads {
-			t.Fatalf("%d-byte body takes %d reads of %d bytes, want fewer than %d", len(small), reads, chunk, maxDirectReads)
+	for _, body := range [][]byte{batchBody(4), batchBody(64)} {
+		// The buffer doubles from its pooled capacity until it holds the
+		// body and room for the Read that returns io.EOF.
+		growth := 0
+		for size := cap(readBufPool.New().(*readBuf).data); size <= len(body); size *= 2 {
+			growth++
 		}
-		if got := direct(small, chunk); got > whole+2 {
-			t.Errorf("%d-byte batch in %d-byte reads: %.0f allocs, %.0f in one read", len(small), chunk, got, whole)
-		}
-	}
-	large := batchBody(64)
-	for _, chunk := range []int{1, 64} {
-		strict := testing.AllocsPerRun(5, func() {
-			var batch BatchRequest
-			if err := decodeStrict(&chunkReader{bytes.NewReader(large), chunk}, &batch); err != nil {
-				t.Fatal(err)
+		whole := direct(body, len(body))
+		for _, chunk := range []int{1, 40, 64} {
+			if got := direct(body, chunk); got > whole+float64(growth) {
+				t.Errorf("%d-byte batch in %d-byte reads: %.0f allocs, %.0f in one read, %d growth steps", len(body), chunk, got, whole, growth)
 			}
-		})
-		if got := direct(large, chunk); got > strict+4 {
-			t.Errorf("%d-byte batch in %d-byte reads: %.0f allocs, decodeStrict %.0f", len(large), chunk, got, strict)
 		}
 	}
 }

@@ -91,32 +91,48 @@ func (c *chunkReader) Read(b []byte) (int, error) {
 // fuzzBody is the body of one FuzzRequestDecoding case as a request
 // handler reads it: for a non-zero chunk at most chunk bytes per Read,
 // and for a non-zero limit behind http.MaxBytesReader with that limit.
-// left reports how many bytes were never read.
-func fuzzBody(in []byte, chunk uint8, limit uint16) (r io.Reader, left func() int) {
-	br := bytes.NewReader(in)
-	r = br
+func fuzzBody(in []byte, chunk uint8, limit uint16) io.Reader {
+	var r io.Reader = bytes.NewReader(in)
 	if chunk > 0 {
-		r = &chunkReader{br, int(chunk)}
+		r = &chunkReader{r, int(chunk)}
 	}
 	if limit > 0 {
 		r = http.MaxBytesReader(nil, io.NopCloser(r), int64(limit))
 	}
-	return r, br.Len
+	return r
+}
+
+// endReader records the first error its reader returned, and whether it
+// was read again after it.
+type endReader struct {
+	r         io.Reader
+	err       error
+	readAfter bool
+}
+
+func (e *endReader) Read(b []byte) (int, error) {
+	if e.err != nil {
+		e.readAfter = true
+	}
+	n, err := e.r.Read(b)
+	if e.err == nil {
+		e.err = err
+	}
+	return n, err
 }
 
 // checkDecoder fails t unless decoding in with direct gives what
 // decodeStrict gives into a T — the same value (nil and empty slices
-// told apart), the same error text — and leaves the same bytes unread.
+// told apart), the same error text — after reading the body to io.EOF
+// or to its reader's error, and no further.
 func checkDecoder[T any](t *testing.T, what string, in []byte, chunk uint8, limit uint16, direct func(io.Reader) (T, error)) {
 	t.Helper()
-	r, left := fuzzBody(in, chunk, limit)
 	var want T
-	wantErr := decodeStrict(r, &want)
+	wantErr := decodeStrict(fuzzBody(in, chunk, limit), &want)
 	if wantErr != nil {
 		want = *new(T)
 	}
-	wantLeft := left()
-	r, left = fuzzBody(in, chunk, limit)
+	r := &endReader{r: fuzzBody(in, chunk, limit)}
 	got, err := direct(r)
 	if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
 		t.Fatalf("%s: error %v, decodeStrict's %v", what, err, wantErr)
@@ -128,8 +144,8 @@ func checkDecoder[T any](t *testing.T, what string, in []byte, chunk uint8, limi
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: decoded\n%#v\ndecodeStrict decoded\n%#v", what, got, want)
 	}
-	if left() != wantLeft {
-		t.Fatalf("%s: left %d bytes unread, decodeStrict %d", what, left(), wantLeft)
+	if r.err == nil || r.readAfter {
+		t.Fatalf("%s: read the body to %v, read after it %v; want to its end and no further", what, r.err, r.readAfter)
 	}
 }
 
@@ -137,7 +153,7 @@ func checkDecoder[T any](t *testing.T, what string, in []byte, chunk uint8, limi
 // its definition, for every analysis shape: DecodeRequest,
 // DecodeV2Request and the /v1/batch decode must give decodeStrict's
 // value, or its error text, on any bytes, read in any chunking and
-// through any MaxBytesReader limit, and must read no more of the body.
+// through any MaxBytesReader limit, and must read the body to its end.
 // The committed corpus covers what the direct path leaves to
 // decodeStrict — escaped and non-ASCII strings, case-folded and repeated
 // names, null at every level, numbers it does not take, trailing bytes,
@@ -153,7 +169,6 @@ func FuzzRequestDecoding(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(body, uint8(0), uint16(0))
-		// One byte a Read: past maxDirectReads, decodeStrict takes over.
 		f.Add(body, uint8(1), uint16(0))
 	}
 	f.Fuzz(func(t *testing.T, in []byte, chunk uint8, limit uint16) {

@@ -250,7 +250,8 @@ func EvaluateV2(an *wcet.Analyzer, req V2Request) (*V2Response, error) {
 }
 
 // DecodeV2Request reads one JSON v2 request with the service's strict
-// decode policy.
+// decode policy. Like DecodeRequest, it reads r to its end before it
+// decodes.
 func DecodeV2Request(r io.Reader) (V2Request, error) {
 	return decodeDirect(r, parseV2)
 }
@@ -258,11 +259,12 @@ func DecodeV2Request(r io.Reader) (V2Request, error) {
 // RunCLIV2 is cmd/wcet's -models behaviour: decode one v2-shaped request,
 // override its model selection with the flag's list when one was given,
 // evaluate through the default analyzer and write the v2 response — the
-// same three calls wcetd's /v2/analyze serves, so CLI and daemon emit
-// byte-identical JSON in v2 mode too.
+// same steps wcetd's /v2/analyze serves, so CLI and daemon emit
+// byte-identical JSON in v2 mode too. Like RunCLI, it decodes with
+// decodeStrict, so it returns on a stdin that stays open.
 func RunCLIV2(in io.Reader, out io.Writer, models []string) error {
-	req, err := DecodeV2Request(in)
-	if err != nil {
+	var req V2Request
+	if err := decodeStrict(in, &req); err != nil {
 		return err
 	}
 	if len(models) > 0 {

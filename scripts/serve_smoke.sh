@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # wcetd smoke test: start the daemon, POST one single and one batch
-# request, assert 200 + expected fields on both, POST a /v2/analyze
+# request, assert 200 + expected fields on both, assert that cmd/wcet on
+# a stdin held open exits with the daemon's /v1/wcet bytes (and with
+# -models ilpPtac, /v2/analyze's), POST a /v2/analyze
 # request selecting a single model and assert exactly that model's
 # estimate comes back, assert /v2/tables lists the seeded default table,
 # round-trip a simulator-emitted calibration batch through /v2/calibrate,
@@ -27,6 +29,7 @@ cd "$(dirname "$0")/.."
 
 ADDR="${WCETD_ADDR:-127.0.0.1:18327}"
 BIN="$(mktemp -d)/wcetd"
+WORK="$(dirname "$BIN")"
 trap 'rm -rf "$(dirname "$BIN")"' EXIT
 
 go build -o "$BIN" ./cmd/wcetd
@@ -51,15 +54,52 @@ for _ in $(seq 1 100); do
 done
 curl -fsS "http://$ADDR/healthz" >/dev/null
 
-echo "serve-smoke: single estimate"
-single=$(curl -fsS -X POST "http://$ADDR/v1/wcet" -d '{
+SINGLE='{
   "scenario": 1,
   "analysed":   {"CCNT": 157800, "PS": 18000, "DS": 27000, "PM": 3000},
   "contenders": [{"CCNT": 500000, "PS": 50000, "DS": 60000, "PM": 8000}]
-}')
+}'
+
+echo "serve-smoke: single estimate"
+single=$(curl -fsS -X POST "http://$ADDR/v1/wcet" -d "$SINGLE")
 echo "$single" | grep -q '"ftc"'
 echo "$single" | grep -q '"ilpPtac"'
 echo "$single" | grep -q '"wcetCycles"'
+
+echo "serve-smoke: cmd/wcet on an open stdin, byte-identical to the daemon"
+CLI="$WORK/wcet"
+go build -o "$CLI" ./cmd/wcet
+FIFO="$WORK/stdin"
+mkfifo "$FIFO"
+# cli_vs_daemon PATH BODY [FLAG...]: POST BODY to PATH, then run cmd/wcet
+# FLAG... on the single request through a stdin that this shell holds
+# open (its fd 3 keeps the FIFO's write end), and assert that the CLI
+# exits within 5 s and prints the daemon's bytes.
+cli_vs_daemon() {
+  local path=$1 body=$2 status=0
+  shift 2
+  curl -fsS -o "$WORK/daemon.json" -X POST "http://$ADDR$path" -d "$body"
+  exec 3<>"$FIFO"
+  printf '%s' "$SINGLE" >&3
+  timeout 5 "$CLI" "$@" <"$FIFO" >"$WORK/cli.json" 3>&- || status=$?
+  exec 3>&-
+  if [ "$status" -ne 0 ]; then
+    echo "serve-smoke: cmd/wcet${*:+ $*} exited $status on an open stdin (124: still reading after 5 s)" >&2
+    exit 1
+  fi
+  if ! cmp -s "$WORK/daemon.json" "$WORK/cli.json"; then
+    echo "serve-smoke: cmd/wcet${*:+ $*} output differs from POST $path" >&2
+    diff "$WORK/daemon.json" "$WORK/cli.json" | head -20 >&2 || true
+    exit 1
+  fi
+}
+cli_vs_daemon /v1/wcet "$SINGLE"
+cli_vs_daemon /v2/analyze '{
+  "scenario": 1,
+  "models": ["ilpPtac"],
+  "analysed":   {"CCNT": 157800, "PS": 18000, "DS": 27000, "PM": 3000},
+  "contenders": [{"CCNT": 500000, "PS": 50000, "DS": 60000, "PM": 8000}]
+}' -models ilpPtac
 
 echo "serve-smoke: batch"
 batch=$(curl -fsS -X POST "http://$ADDR/v1/batch" -d '{
@@ -151,11 +191,7 @@ echo "$stats" | grep -q '"maxInFlight"'
 echo "serve-smoke: metrics exposition"
 # Re-post the first request so the result cache provably has a hit, then
 # scrape /metrics and assert the key series exist with sane values.
-curl -fsS -X POST "http://$ADDR/v1/wcet" -d '{
-  "scenario": 1,
-  "analysed":   {"CCNT": 157800, "PS": 18000, "DS": 27000, "PM": 3000},
-  "contenders": [{"CCNT": 500000, "PS": 50000, "DS": 60000, "PM": 8000}]
-}' >/dev/null
+curl -fsS -X POST "http://$ADDR/v1/wcet" -d "$SINGLE" >/dev/null
 metrics=$(curl -fsS "http://$ADDR/metrics")
 for series in wcetd_requests_total wcetd_cache_hits_total wcetd_cache_shard_contention_total \
               solver_warm_starts_total solver_ilp_solves_total solver_bb_nodes_total \
@@ -232,8 +268,7 @@ wait "$PID"
 # A fresh daemon with persistent dirs. -workers 2 leaves exactly one
 # background slot, so the 24-cell job takes long enough to be killed
 # mid-flight deterministically.
-DATA="$(dirname "$BIN")/data"
-WORK="$(dirname "$BIN")"
+DATA="$WORK/data"
 
 wait_health() {
   for _ in $(seq 1 100); do
@@ -396,11 +431,7 @@ fi
 
 echo "serve-smoke: traced request stored and retrievable by id"
 curl -fsS -D "$WORK/obs_headers" -X POST "http://$ADDR/v1/wcet" \
-  -H 'X-Wcet-Trace: 1' -d '{
-  "scenario": 1,
-  "analysed":   {"CCNT": 157800, "PS": 18000, "DS": 27000, "PM": 3000},
-  "contenders": [{"CCNT": 500000, "PS": 50000, "DS": 60000, "PM": 8000}]
-}' >/dev/null
+  -H 'X-Wcet-Trace: 1' -d "$SINGLE" >/dev/null
 TRACE_ID=$(grep -i '^X-Wcet-Trace-Id:' "$WORK/obs_headers" | tr -d '\r' | awk '{print $2}')
 if [ -z "$TRACE_ID" ]; then
   echo "serve-smoke: traced response missing X-Wcet-Trace-Id header" >&2
